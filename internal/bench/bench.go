@@ -69,19 +69,6 @@ func Names() []string {
 	return out
 }
 
-// Describe returns the one-line description for a benchmark.
-func Describe(name string) string {
-	for _, p := range Suite {
-		if p.Name == name {
-			return p.Description
-		}
-	}
-	if name == Livc.Name {
-		return Livc.Description
-	}
-	return ""
-}
-
 // Load parses and simplifies the named benchmark.
 func Load(name string) (*simple.Program, error) {
 	src, err := Source(name)

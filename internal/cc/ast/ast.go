@@ -74,10 +74,9 @@ type exprBase struct {
 	T *types.Type
 }
 
-func (e *exprBase) Pos() token.Pos        { return e.P }
-func (e *exprBase) Type() *types.Type     { return e.T }
-func (e *exprBase) SetType(t *types.Type) { e.T = t }
-func (*exprBase) exprNode()               {}
+func (e *exprBase) Pos() token.Pos    { return e.P }
+func (e *exprBase) Type() *types.Type { return e.T }
+func (*exprBase) exprNode()           {}
 
 // Ident is a resolved identifier reference.
 type Ident struct {
@@ -328,15 +327,6 @@ type TranslationUnit struct {
 	FuncObjects map[string]*Object
 	FuncOrder   []string
 	SourceLines int
-}
-
-// LookupFunc returns the function definition with the given name, or nil.
-func (tu *TranslationUnit) LookupFunc(name string) *FuncDecl {
-	obj := tu.FuncObjects[name]
-	if obj == nil {
-		return nil
-	}
-	return obj.Def
 }
 
 // Note: Expr and Stmt nodes expose their position and type through the

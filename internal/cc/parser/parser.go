@@ -71,12 +71,16 @@ type Parser struct {
 	// when the declarator nests the list inside parentheses (e.g. a
 	// function returning a function pointer).
 	paramNames map[*types.Type][]string
+
+	// externOnly holds the globals no declaration so far has defined: their
+	// type may stay incomplete, since this unit gives them no storage.
+	externOnly map[*ast.Object]bool
 }
 
 // Parse parses the given source as one translation unit.
 func Parse(file, src string) (*ast.TranslationUnit, error) {
 	toks, lexErrs := lexer.Tokenize(file, src)
-	p := &Parser{toks: toks, paramNames: make(map[*types.Type][]string)}
+	p := &Parser{toks: toks, paramNames: make(map[*types.Type][]string), externOnly: make(map[*ast.Object]bool)}
 	p.errors = append(p.errors, lexErrs...)
 	p.fileScope = newScope(nil)
 	p.cur = p.fileScope
@@ -257,6 +261,22 @@ func (p *Parser) parseUnit() {
 	for p.kind() != token.EOF {
 		p.parseExternalDecl()
 	}
+	// A defined global's struct or union may be completed anywhere in the
+	// unit, but by its end the global needs storage.
+	for _, g := range p.unit.Globals {
+		if !p.externOnly[g.Obj] && incompleteAggregate(g.Obj.Type) {
+			p.errorf(g.Obj.Pos, "variable %s has incomplete type %s", g.Obj.Name, g.Obj.Type)
+		}
+	}
+}
+
+// incompleteAggregate reports whether t is a struct or union, or an array
+// of them, whose body has not been seen.
+func incompleteAggregate(t *types.Type) bool {
+	for t.Kind == types.Array {
+		t = t.Elem
+	}
+	return (t.Kind == types.Struct || t.Kind == types.Union) && !t.Done
 }
 
 // storage classes seen on a declaration.
@@ -335,6 +355,9 @@ func (p *Parser) declareGlobalVar(name string, t *types.Type, pos token.Pos, sto
 		}
 	}
 	if prev := p.fileScope.objects[name]; prev != nil && prev.Kind == ast.Var {
+		if !sto.isExtern || init != nil {
+			delete(p.externOnly, prev)
+		}
 		// Tentative re-definition; attach initializer if new.
 		if init != nil {
 			for _, g := range p.unit.Globals {
@@ -351,6 +374,9 @@ func (p *Parser) declareGlobalVar(name string, t *types.Type, pos token.Pos, sto
 		t = types.ArrayOf(t.Elem, len(init.List))
 	}
 	obj := &ast.Object{Name: name, Kind: ast.Var, Type: t, Pos: pos, Global: true, Static: sto.isStatic}
+	if sto.isExtern && init == nil {
+		p.externOnly[obj] = true
+	}
 	p.cur.objects[name] = obj
 	p.unit.Globals = append(p.unit.Globals, &ast.GlobalVar{Obj: obj, Init: init})
 }

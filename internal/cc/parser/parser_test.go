@@ -283,6 +283,9 @@ func TestParseErrors(t *testing.T) {
 		{"redeclare", `int main() { int x; int x; return 0; }`, "redeclared"},
 		{"call non-func", `int main() { int x; return x(); }`, "non-function"},
 		{"too few args", `int f(int a, int b) { return a; } int main() { return f(1); }`, "too few arguments"},
+		{"incomplete local", `struct s; int main() { struct s x; return 0; }`, "test.c:1:33: variable x has incomplete type struct s"},
+		{"incomplete local array", `union u; int main() { union u a[2]; return 0; }`, "variable a has incomplete type union u[2]"},
+		{"incomplete global", "struct s;\nstruct s g;\nint main() { return 0; }", "test.c:2:10: variable g has incomplete type struct s"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -295,6 +298,24 @@ func TestParseErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestIncompleteTypesAllowed covers the declarations of incomplete struct
+// type C accepts: a global whose struct is completed later in the unit,
+// extern declarations, and pointers.
+func TestIncompleteTypesAllowed(t *testing.T) {
+	mustParse(t, `
+struct s g;
+extern struct t e;
+struct s *p;
+struct s { int *f; };
+int main() {
+	struct s l;
+	extern struct t u;
+	struct t *q;
+	return 0;
+}
+`)
 }
 
 func TestParseGotoAndLabels(t *testing.T) {

@@ -275,8 +275,8 @@ func (p *Parser) parseDeclStmt() ast.Stmt {
 			if t.Kind == types.Array && t.Len < 0 && init != nil && init.List != nil {
 				t = types.ArrayOf(t.Elem, len(init.List))
 			}
-			if t.Kind == types.Void {
-				p.errorf(npos, "variable %s has incomplete type void", name)
+			if t.Kind == types.Void || !sto.isExtern && incompleteAggregate(t) {
+				p.errorf(npos, "variable %s has incomplete type %s", name, t)
 			}
 			obj := p.declareLocal(name, t, npos, sto)
 			ds.Objects = append(ds.Objects, obj)

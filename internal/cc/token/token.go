@@ -7,8 +7,8 @@ import "fmt"
 // Kind identifies the lexical class of a token.
 type Kind int
 
-// Token kinds. Keyword kinds are contiguous so IsKeyword can use a range
-// check.
+// Token kinds. Keyword kinds are contiguous so the keyword table can be
+// built by a range loop.
 const (
 	ILLEGAL Kind = iota
 	EOF
@@ -203,9 +203,6 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
-
-// IsKeyword reports whether k is a C keyword.
-func (k Kind) IsKeyword() bool { return keywordBegin < k && k < keywordEnd }
 
 // IsAssignOp reports whether k is one of the assignment operators.
 func (k Kind) IsAssignOp() bool {

@@ -1105,10 +1105,6 @@ type exitError struct{ code int64 }
 
 func (e *exitError) Error() string { return fmt.Sprintf("exit(%d)", e.code) }
 
-func (ip *Interp) writeCString(dst Value, s string) error {
-	return ip.writeCStringT(dst, s, false)
-}
-
 // writeCStringT writes a NUL-terminated string whose character cells carry
 // the given taint bit (the terminator stays clean).
 func (ip *Interp) writeCStringT(dst Value, s string, taint bool) error {

@@ -51,8 +51,5 @@ func (ip *Interp) PointerFacts(includeFrame func(*Frame) bool) []Fact {
 	return out
 }
 
-// Frames exposes the live activation stack (innermost last).
-func (ip *Interp) Frames() []*Frame { return ip.stack }
-
 // Steps reports how many statements have executed.
 func (ip *Interp) Steps() int { return ip.steps }

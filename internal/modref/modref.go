@@ -303,21 +303,6 @@ func (r *Result) ModOf(n *invgraph.Node) []*loc.Location { return r.mod[n].sorte
 // RefOf returns the node's REF set in its own naming.
 func (r *Result) RefOf(n *invgraph.Node) []*loc.Location { return r.ref[n].sorted() }
 
-// CallerVisibleMod translates a node's MOD set into its caller's naming.
-func (r *Result) CallerVisibleMod(n *invgraph.Node) []*loc.Location {
-	mi, ok := n.MapInfo.(*pta.MapInfo)
-	if !ok {
-		return nil
-	}
-	out := make(locSet)
-	for l := range r.mod[n] {
-		for _, cl := range mi.Translate(r.res, l) {
-			out.add(cl)
-		}
-	}
-	return out.sorted()
-}
-
 // Summary renders per-function MOD counts deterministically (first node per
 // function).
 func (r *Result) Summary() []string {

@@ -16,15 +16,12 @@ import (
 	"repro/internal/simple"
 )
 
-// AbstractLoc maps a concrete address to its abstract stack location in the
-// analysis's naming (heap objects collapse to the heap location; concrete
-// index 0 is the array head, any other index the tail). An index selector
+// abstractLocOpts maps a concrete address to its abstract stack location in
+// the analysis's naming (heap objects collapse to the heap location;
+// concrete index 0 is the array head, any other index the tail; with
+// singleArray every index is the one array location). An index selector
 // applied to a non-array cell — scalar pointer arithmetic — stays at the
 // same abstract location, matching the analysis's within-object assumption.
-func AbstractLoc(tab *loc.Table, p interp.Pointer) *loc.Location {
-	return abstractLocOpts(tab, p, false)
-}
-
 func abstractLocOpts(tab *loc.Table, p interp.Pointer, singleArray bool) *loc.Location {
 	if p.HeapID >= 0 {
 		return tab.HeapLoc()

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -310,18 +309,6 @@ func firstDiffLine(a, b string) (int, string, string) {
 		}
 	}
 	return 0, "", ""
-}
-
-// SortBySteps returns the report's program names ordered by descending
-// analysis effort — the "largest" programs for smoke checks.
-func (r *PerfReport) SortBySteps() []string {
-	ps := append([]PerfProgram{}, r.Programs...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Steps > ps[j].Steps })
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name
-	}
-	return names
 }
 
 // WriteJSON emits the report as indented JSON.

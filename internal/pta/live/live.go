@@ -229,10 +229,6 @@ func (in *Info) Seeds() *Seeds { return in.seeds }
 // Seeded reports whether b carries demand (its annotation is recorded).
 func (in *Info) Seeded(b *simple.Basic) bool { return in.seeds.Seeded(b) }
 
-// Pinned reports whether obj is permanently live (its facts are never
-// pruned anywhere).
-func (in *Info) Pinned(obj *ast.Object) bool { return in.pinned[obj] }
-
 // LiveAt reports whether obj's facts must be kept at the input of b:
 // pinned, untracked, or live by the backward dataflow.
 func (in *Info) LiveAt(b *simple.Basic, obj *ast.Object) bool {

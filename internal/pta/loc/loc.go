@@ -171,8 +171,9 @@ type Table struct {
 	str    *Location
 	freed  *Location
 
-	ownerMu sync.RWMutex
-	owners  map[*ast.Object]*simple.Function // local/param -> function
+	// owners maps each local and parameter to its function. It is filled
+	// by the constructor and only read afterwards, so it needs no lock.
+	owners map[*ast.Object]*simple.Function
 }
 
 type varKey struct {
@@ -276,21 +277,6 @@ func (t *Table) Stats() TableStats {
 	return st
 }
 
-// RegisterLocal records that obj is a local of fn (used for temporaries
-// added after table construction).
-func (t *Table) RegisterLocal(obj *ast.Object, fn *simple.Function) {
-	t.ownerMu.Lock()
-	t.owners[obj] = fn
-	t.ownerMu.Unlock()
-}
-
-func (t *Table) ownerOf(obj *ast.Object) *simple.Function {
-	t.ownerMu.RLock()
-	fn := t.owners[obj]
-	t.ownerMu.RUnlock()
-	return fn
-}
-
 // HeapLoc returns the single heap location.
 func (t *Table) HeapLoc() *Location { return t.heap }
 
@@ -354,7 +340,7 @@ func (t *Table) VarLoc(obj *ast.Object, path []Elem) *Location {
 	l = &Location{
 		Kind: Var,
 		Obj:  obj,
-		Fn:   t.ownerOf(obj),
+		Fn:   t.owners[obj],
 		Path: append([]Elem{}, path...),
 		name: obj.Name + key.path,
 		typ:  typeAt(obj.Type, path),

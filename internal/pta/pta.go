@@ -330,6 +330,13 @@ func (a *analyzer) diagf(format string, args ...any) {
 
 type stepsExceeded struct{}
 
+// AbortError is the error of a run the engine cut short: it exceeded its
+// step budget, or the stall watchdog killed it. An attached flight
+// recorder has dumped its record by the time the error is returned.
+type AbortError struct{ Reason string }
+
+func (e *AbortError) Error() string { return "pta: analysis " + e.Reason }
+
 func (a *analyzer) step() {
 	if a.m.Steps.Inc() > a.stepCeil.Load() {
 		panic(stepsExceeded{})
@@ -392,12 +399,12 @@ func (a *analyzer) run() (err error) {
 			if _, ok := r.(stepsExceeded); ok {
 				if a.wdAborted.Load() {
 					// The stall hook already dumped the flight record.
-					err = fmt.Errorf("pta: analysis aborted by stall watchdog (no progress for %s)",
-						a.opts.StallWindow)
+					err = &AbortError{Reason: fmt.Sprintf("aborted by stall watchdog (no progress for %s)",
+						a.opts.StallWindow)}
 					return
 				}
 				a.dumpFlight(fmt.Sprintf("steps exceeded (budget %d)", a.limit))
-				err = fmt.Errorf("pta: analysis exceeded %d steps (non-terminating fixed point?)", a.limit)
+				err = &AbortError{Reason: fmt.Sprintf("exceeded %d steps (non-terminating fixed point?)", a.limit)}
 				return
 			}
 			a.dumpFlight(fmt.Sprintf("panic: %v", r))

@@ -37,17 +37,6 @@ var pthreadNoop = map[string]bool{
 	PthreadMutexDestroy: true,
 }
 
-// IsPthreadIntrinsic reports whether name is one of the pthread calls the
-// analysis models (rather than treating as an opaque external).
-func IsPthreadIntrinsic(name string) bool {
-	return name == PthreadCreate || pthreadNoop[name]
-}
-
-// IsCallTo reports whether b is a direct call to the named function.
-func IsCallTo(b *simple.Basic, name string) bool {
-	return b.Kind == simple.AsgnCall && b.Callee != nil && b.Callee.Name == name
-}
-
 // processPthreadCall dispatches the modeled pthread intrinsics; ok is false
 // when b calls none of them.
 func (a *analyzer) processPthreadCall(b *simple.Basic, in ptset.Set, ign *invgraph.Node, tk obsv.Track) (ptset.Set, bool) {
@@ -59,13 +48,6 @@ func (a *analyzer) processPthreadCall(b *simple.Basic, in ptset.Set, ign *invgra
 		return in, true
 	}
 	return ptset.Set{}, false
-}
-
-// ThreadEntries resolves the entry-function argument of a pthread_create
-// call under the given points-to set, exposed for interprocedural clients.
-func ThreadEntries(res *Result, b *simple.Basic, in ptset.Set) []*simple.Function {
-	a := &analyzer{prog: res.Prog, tab: res.Table, opts: res.Opts}
-	return a.threadEntries(b, in)
 }
 
 // threadEntries resolves pthread_create's third argument — the thread entry

@@ -95,9 +95,6 @@ func (s Set) Insert(src, dst *loc.Location, d Def) {
 	s.m[e] = d
 }
 
-// InsertTriple adds t.
-func (s Set) InsertTriple(t Triple) { s.Insert(t.Src, t.Dst, t.Def) }
-
 // Lookup returns the definiteness of edge (src, dst) and whether it exists.
 func (s Set) Lookup(src, dst *loc.Location) (Def, bool) {
 	if s.bottom {
@@ -310,19 +307,6 @@ func (s Set) Triples() []Triple {
 	out := make([]Triple, 0, len(s.m))
 	for e, d := range s.m {
 		out = append(out, Triple{e.Src, e.Dst, d})
-	}
-	sortTriples(out)
-	return out
-}
-
-// Filter returns the triples satisfying keep, sorted.
-func (s Set) Filter(keep func(Triple) bool) []Triple {
-	var out []Triple
-	for e, d := range s.m {
-		t := Triple{e.Src, e.Dst, d}
-		if keep(t) {
-			out = append(out, t)
-		}
 	}
 	sortTriples(out)
 	return out

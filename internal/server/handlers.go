@@ -1,22 +1,21 @@
 package server
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"time"
 
-	"repro/internal/cc/ast"
-	"repro/internal/cc/parser"
 	"repro/internal/check"
 	"repro/internal/obsv"
 	"repro/internal/pta"
 	"repro/internal/pta/loc"
 	"repro/internal/race"
+	"repro/internal/simple"
 	"repro/internal/taint"
 	"repro/pointsto"
 )
@@ -29,6 +28,24 @@ type AnalyzeRequest struct {
 	// Source is the C translation unit to analyze. Required.
 	Source string `json:"source"`
 	// Config exposes the pointsto.Config knobs per request.
+	Config *RequestConfig `json:"config,omitempty"`
+}
+
+// QueryRequest is the body of POST /v1/query: points-to queries answered by
+// a demand-driven, liveness-pruned analysis run. It carries every key of
+// AnalyzeRequest plus the query batch.
+type QueryRequest struct {
+	// Filename labels positions (default "input.c"); query positions must
+	// use the same name.
+	Filename string `json:"filename,omitempty"`
+	// Source is the C translation unit. Required.
+	Source string `json:"source"`
+	// Queries is the batch to answer. Required.
+	Queries []pointsto.Query `json:"queries"`
+	// Exhaustive answers from a full exhaustive run instead of demand
+	// mode (the correctness oracle; answers are identical by contract).
+	Exhaustive bool `json:"exhaustive,omitempty"`
+	// Config exposes the same knobs as /v1/analyze.
 	Config *RequestConfig `json:"config,omitempty"`
 }
 
@@ -70,7 +87,7 @@ type TraceSummary struct {
 	Dropped uint64 `json:"dropped"`
 }
 
-// AnalyzeResponse is the body returned by every /v1 analysis view. The
+// AnalyzeResponse is the body returned by the /v1 analysis views. The
 // request ID, the inline metrics snapshot and the flight-dump reference are
 // the correlation surface: the same ID appears in the access log and names
 // the spooled dump.
@@ -91,21 +108,39 @@ type AnalyzeResponse struct {
 	Error       string                `json:"error,omitempty"`
 }
 
+// QueryResponse is the body returned by /v1/query. A spooled flight dump
+// is named by the X-Flight-Dump header and the access log.
+type QueryResponse struct {
+	RequestID  string  `json:"request_id"`
+	Filename   string  `json:"filename"`
+	DurationMS float64 `json:"duration_ms"`
+	// CacheHit reports whether the parse came from the session cache.
+	CacheHit bool                   `json:"cache_hit"`
+	Results  []pointsto.QueryResult `json:"results,omitempty"`
+	Metrics  *obsv.MetricsSnapshot  `json:"metrics,omitempty"`
+	Error    string                 `json:"error,omitempty"`
+}
+
+// views are the /v1 routes, one per way renderView answers a request.
+var views = []string{"analyze", "check", "race", "taint", "query"}
+
 // reqTraceBuffer bounds the per-request tracer ring. One shard keeps the
 // last N spans globally, which is what the flight dump renders.
 const reqTraceBuffer = 2048
 
-// handleAnalyze builds the handler for one analysis view. All four /v1
-// endpoints share it: they run the same analysis, differ only in which
-// client consumes the result.
-func (s *Server) handleAnalyze(view string) http.HandlerFunc {
+// handle builds the handler of one /v1 view. Every view takes the same
+// path — decode, validate, queue for a slot, run — and differs only in how
+// renderView turns the analysis into a response.
+func (s *Server) handle(view string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			s.writeError(w, r, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		var req AnalyzeRequest
+		// A QueryRequest has every AnalyzeRequest key, so one decode serves
+		// every view; the analysis views ignore the query keys.
+		var req QueryRequest
 		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes)
 		if err := json.NewDecoder(body).Decode(&req); err != nil {
 			s.writeError(w, r, http.StatusBadRequest, "bad request body: "+err.Error())
@@ -113,6 +148,10 @@ func (s *Server) handleAnalyze(view string) http.HandlerFunc {
 		}
 		if strings.TrimSpace(req.Source) == "" {
 			s.writeError(w, r, http.StatusBadRequest, "empty source")
+			return
+		}
+		if view == "query" && len(req.Queries) == 0 {
+			s.writeError(w, r, http.StatusBadRequest, "no queries")
 			return
 		}
 		if req.Filename == "" {
@@ -127,125 +166,156 @@ func (s *Server) handleAnalyze(view string) http.HandlerFunc {
 		}
 		defer s.pool.release()
 
-		resp := s.analyze(r.Context(), view, &req)
-		status := http.StatusOK
-		switch {
-		case resp.Error != "" && resp.Metrics == nil:
-			// Failed before the engine ran: the source is at fault.
-			status = http.StatusUnprocessableEntity
-		case resp.Error != "":
-			// The engine started and was aborted (step budget, stall kill,
-			// panic): server-side condition, with a flight dump to show for it.
-			status = http.StatusInternalServerError
-		}
-		s.writeJSON(w, r, status, resp)
+		status, resp, dump := s.run(RequestIDFrom(r.Context()), view, &req)
+		s.writeJSON(w, r, status, resp, dump)
 	}
 }
 
-// analyze runs one request end to end with its own observability scope:
-// private metrics registry, private tracer (stamped with the request ID),
-// private flight recorder spooling to a file named by the request ID.
-func (s *Server) analyze(ctx context.Context, view string, req *AnalyzeRequest) *AnalyzeResponse {
-	id := RequestIDFrom(ctx)
-	resp := &AnalyzeResponse{RequestID: id, View: view, Filename: req.Filename}
+// run answers one request inside its own observability scope: a private
+// metrics registry (answered inline and merged into the server totals), a
+// private tracer stamped with the request ID, and a private flight recorder
+// spooled to a file named by the ID. It returns the status, the response
+// body and the spooled dump's name ("" when nothing was spooled). Caller
+// faults — a parse or simplify error, no main, a bad config, an
+// unresolvable query — get 422; engine aborts — the step budget, a stall
+// kill, a panic — get 500 and leave the dump.
+func (s *Server) run(id, view string, req *QueryRequest) (int, any, string) {
 	start := time.Now()
-	defer func() { resp.DurationMS = float64(time.Since(start)) / float64(time.Millisecond) }()
-
-	// Parse first: a syntax error is the caller's problem and should not
-	// consume an engine run (or leave a flight dump).
-	tu, err := parser.Parse(req.Filename, req.Source)
-	if err != nil {
-		resp.Error = err.Error()
-		return resp
-	}
-
-	reqMetrics := obsv.NewMetrics()
-	tracer := obsv.NewTracer(1, reqTraceBuffer)
+	resp := &AnalyzeResponse{RequestID: id, View: view, Filename: req.Filename}
+	dump := s.spool.writer(id)
+	cfg := s.config(view, req)
+	cfg.Metrics = obsv.NewMetrics()
+	cfg.Tracer = obsv.NewTracer(1, reqTraceBuffer)
 	// The instant marker (not a span) is recorded immediately, so a flight
 	// dump taken mid-run — the only time dumps happen — already carries the
 	// request identity.
-	tracer.Instant(0, obsv.CatPhase, "request", id+" view="+view)
-	flight := obsv.NewFlightRecorder(0, 0)
-	dump := s.spool.writer(id)
+	cfg.Tracer.Instant(0, obsv.CatPhase, "request", id+" view="+view)
+	cfg.Flight, cfg.FlightDump = obsv.NewFlightRecorder(0, 0), dump
 
-	cfg := s.pool.getConfig()
-	*cfg = pointsto.Config{
-		Metrics:    reqMetrics,
-		Tracer:     tracer,
-		Flight:     flight,
-		FlightDump: dump,
-		MaxSteps:   s.cfg.MaxSteps,
-	}
-	if rc := req.Config; rc != nil {
-		cfg.FnPtrStrategy = rc.FnPtrStrategy
-		cfg.NoDefinite = rc.NoDefinite
-		cfg.SingleArrayLoc = rc.SingleArrayLoc
-		cfg.NoMemo = rc.NoMemo
-		cfg.ContextInsensitive = rc.ContextInsensitive
-		cfg.Workers = clampWorkers(rc.Workers, s.cfg.AnalysisWorkers)
-		if rc.MaxSteps > 0 && (s.cfg.MaxSteps == 0 || rc.MaxSteps < s.cfg.MaxSteps) {
-			cfg.MaxSteps = rc.MaxSteps
+	var (
+		hit     bool
+		results []pointsto.QueryResult
+	)
+	err := guard(func() error {
+		prog, err, cached := s.parses.get(req.Filename, req.Source)
+		hit = cached
+		if err != nil {
+			return err
 		}
-		if rc.StallWindowMS > 0 {
-			cfg.StallWindow = time.Duration(rc.StallWindowMS) * time.Millisecond
-			cfg.StallKill = rc.StallKill
+		a, err := s.analyze(prog, cfg, resp)
+		if err != nil {
+			return err
 		}
-	} else {
-		cfg.Workers = clampWorkers(0, s.cfg.AnalysisWorkers)
-	}
-	defer s.pool.putConfig(cfg)
-
-	a, err := s.runGuarded(tu, cfg, req.Source)
-
-	// Whether the run finished or unwound, the per-request registry is
-	// complete for what happened; snapshot it, answer with it inline, and
-	// fold it into the server totals so /metrics stays monotone.
-	if a != nil {
-		resp.Metrics = a.Metrics() // includes interning stats the registry lacks
-	} else {
-		resp.Metrics = reqMetrics.Snapshot()
-	}
-	s.totals.Merge(resp.Metrics)
-	resp.Trace = &TraceSummary{Spans: tracer.Emitted(), Dropped: tracer.Dropped()}
+		a.Source = req.Source // the taint client scans it for pragmas
+		results, err = renderView(resp, a, req.Queries)
+		return err
+	})
 	if spooled, cerr := dump.close(); spooled {
 		resp.FlightDump = s.spool.dumpName(id)
 	} else if cerr != nil {
 		s.log.Error("flight spool", "request_id", id, "err", cerr)
 	}
-
+	status := http.StatusOK
 	if err != nil {
 		resp.Error = err.Error()
-		return resp
+		status = errStatus(err)
 	}
-	s.renderView(resp, view, a)
-	return resp
+	resp.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
+	if view != "query" {
+		return status, resp, resp.FlightDump
+	}
+	return status, &QueryResponse{
+		RequestID: id, Filename: req.Filename, DurationMS: resp.DurationMS,
+		CacheHit: hit, Results: results, Metrics: resp.Metrics, Error: resp.Error,
+	}, resp.FlightDump
 }
 
-// runGuarded executes the engine with a panic barrier: the engine dumps the
-// flight record on its way out of a panic and rethrows, and a daemon must
-// turn that into a failed request, not a dead process.
-func (s *Server) runGuarded(tu *ast.TranslationUnit, cfg *pointsto.Config, src string) (a *pointsto.Analysis, err error) {
+// analyze runs the engine. Whether the run finishes or unwinds, the
+// request registry is complete for what happened: analyze answers with it
+// and folds it into the server totals, so /metrics stays monotone. It
+// returns before the view renders, so a client's re-run does not keep this
+// run's result alive.
+func (s *Server) analyze(prog *simple.Program, cfg *pointsto.Config, resp *AnalyzeResponse) (a *pointsto.Analysis, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			a, err = nil, fmt.Errorf("analysis panicked: %v", r)
+		if a != nil {
+			resp.Metrics = a.Metrics() // adds the interning stats the registry lacks
+		} else {
+			resp.Metrics = cfg.Metrics.Snapshot()
+		}
+		s.totals.Merge(resp.Metrics)
+		resp.Trace = &TraceSummary{Spans: cfg.Tracer.Emitted(), Dropped: cfg.Tracer.Dropped()}
+	}()
+	return pointsto.AnalyzeProgram(prog, cfg)
+}
+
+// config builds a fresh engine configuration for a request of view: the
+// caller's knobs, with workers and the step budget clamped to the server's
+// caps, and for the query view the demand its queries seed (unless the
+// caller asks for the exhaustive oracle).
+func (s *Server) config(view string, req *QueryRequest) *pointsto.Config {
+	rc := req.Config
+	if rc == nil {
+		rc = &RequestConfig{}
+	}
+	cfg := &pointsto.Config{
+		FnPtrStrategy:      rc.FnPtrStrategy,
+		NoDefinite:         rc.NoDefinite,
+		SingleArrayLoc:     rc.SingleArrayLoc,
+		NoMemo:             rc.NoMemo,
+		ContextInsensitive: rc.ContextInsensitive,
+		Workers:            clampWorkers(rc.Workers, s.cfg.AnalysisWorkers),
+		MaxSteps:           s.cfg.MaxSteps,
+	}
+	if rc.MaxSteps > 0 && (s.cfg.MaxSteps == 0 || rc.MaxSteps < s.cfg.MaxSteps) {
+		cfg.MaxSteps = rc.MaxSteps
+	}
+	if rc.StallWindowMS > 0 {
+		cfg.StallWindow = time.Duration(rc.StallWindowMS) * time.Millisecond
+		cfg.StallKill = rc.StallKill
+	}
+	if view == "query" {
+		cfg.Demand, cfg.Queries = !req.Exhaustive, req.Queries
+	}
+	return cfg
+}
+
+// panicError is a panic recovered from the engine or a client.
+type panicError struct{ v any }
+
+func (e panicError) Error() string { return fmt.Sprintf("analysis panicked: %v", e.v) }
+
+// guard runs f behind a panic barrier: the engine dumps the flight record
+// on its way out of a panic and rethrows, and a daemon must turn that into
+// a failed request, not a dead process.
+func guard(f func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = panicError{v}
 		}
 	}()
-	a, err = pointsto.AnalyzeUnit(tu, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// AnalyzeSource would have set this; the server parses separately so a
-	// parse error skips the engine, and restores the source here for the
-	// taint client's pragma scanning.
-	a.Source = src
-	return a, nil
+	return f()
 }
 
-// renderView fills the view-specific part of the response.
-func (s *Server) renderView(resp *AnalyzeResponse, view string, a *pointsto.Analysis) {
+// errStatus is the status of a failed request: an engine abort is the
+// server's fault, anything else the request's.
+func errStatus(err error) int {
+	var abort *pta.AbortError
+	var panicked panicError
+	if errors.As(err, &abort) || errors.As(err, &panicked) {
+		return http.StatusInternalServerError
+	}
+	return http.StatusUnprocessableEntity
+}
+
+// renderView fills the view-specific part of the response. The query view
+// returns its answers, which only a QueryResponse carries.
+func renderView(resp *AnalyzeResponse, a *pointsto.Analysis, queries []pointsto.Query) ([]pointsto.QueryResult, error) {
+	if resp.View == "query" {
+		return a.QueryAll(queries), nil
+	}
 	resp.Fingerprint = fingerprintSHA(a.Result)
 	resp.Diagnostics = a.Diagnostics()
-	switch view {
+	switch resp.View {
 	case "analyze":
 		for _, t := range a.Result.MainOut.Triples() {
 			if t.Dst.Kind == loc.Null {
@@ -258,8 +328,7 @@ func (s *Server) renderView(resp *AnalyzeResponse, view string, a *pointsto.Anal
 	case "check":
 		diags, err := a.Check()
 		if err != nil {
-			resp.Error = err.Error()
-			return
+			return nil, err
 		}
 		for _, d := range diags {
 			resp.Findings = append(resp.Findings, Finding{Severity: d.Sev.String(), Message: d.String()})
@@ -268,8 +337,7 @@ func (s *Server) renderView(resp *AnalyzeResponse, view string, a *pointsto.Anal
 	case "race":
 		diags, err := a.Races()
 		if err != nil {
-			resp.Error = err.Error()
-			return
+			return nil, err
 		}
 		for _, d := range diags {
 			resp.Findings = append(resp.Findings, Finding{Severity: d.Sev.String(), Message: d.String()})
@@ -278,14 +346,14 @@ func (s *Server) renderView(resp *AnalyzeResponse, view string, a *pointsto.Anal
 	case "taint":
 		diags, err := a.Taint()
 		if err != nil {
-			resp.Error = err.Error()
-			return
+			return nil, err
 		}
 		for _, d := range diags {
 			resp.Findings = append(resp.Findings, Finding{Severity: d.Sev.String(), Message: d.String()})
 			count(resp, d.Sev == taint.Error)
 		}
 	}
+	return nil, nil
 }
 
 func count(resp *AnalyzeResponse, isError bool) {

@@ -1,33 +1,20 @@
 package server
 
-import (
-	"context"
-	"sync"
-
-	"repro/pointsto"
-)
+import "context"
 
 // workerPool bounds how many analyses run at once. HTTP handlers block in
 // acquire until a slot frees (or the client gives up), so a burst of
 // submissions queues in cheap goroutines instead of oversubscribing the
 // analysis core, whose own Workers knob already saturates the host per run.
-//
-// The pool also recycles pointsto.Config values across requests — the
-// reuse path the consume-once contract on Config.Metrics/Flight/Tracer
-// exists for: a recycled Config can never report into a registry that a
-// previous request already accounted.
 type workerPool struct {
-	sem     chan struct{}
-	configs sync.Pool
+	sem chan struct{}
 }
 
 func newWorkerPool(slots int) *workerPool {
 	if slots <= 0 {
 		slots = 1
 	}
-	p := &workerPool{sem: make(chan struct{}, slots)}
-	p.configs.New = func() any { return new(pointsto.Config) }
-	return p
+	return &workerPool{sem: make(chan struct{}, slots)}
 }
 
 // acquire blocks until a slot is free or ctx is done.
@@ -41,12 +28,3 @@ func (p *workerPool) acquire(ctx context.Context) error {
 }
 
 func (p *workerPool) release() { <-p.sem }
-
-// getConfig returns a recycled Config. Every field the server sets per
-// request is overwritten by the caller; the consume-once attachments are
-// already nil from the previous run.
-func (p *workerPool) getConfig() *pointsto.Config {
-	return p.configs.Get().(*pointsto.Config)
-}
-
-func (p *workerPool) putConfig(cfg *pointsto.Config) { p.configs.Put(cfg) }

@@ -11,7 +11,8 @@
 // request across every surface.
 //
 // Server-level endpoints: POST /v1/analyze, /v1/check, /v1/race, /v1/taint
-// (views over the same engine run); GET /metrics (Prometheus text:
+// and /v1/query (views over one request path: a shared parse cache, one
+// engine run, one status rule); GET /metrics (Prometheus text:
 // aggregated analysis registry plus http_requests_total,
 // http_request_duration_seconds, inflight_requests); /healthz; /readyz
 // (ready only after the warmup self-analysis passes); and /debug/pprof.
@@ -120,11 +121,9 @@ func New(cfg Config) (*Server, error) {
 // access-log + HTTP-metrics middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/v1/analyze", s.handleAnalyze("analyze"))
-	mux.Handle("/v1/check", s.handleAnalyze("check"))
-	mux.Handle("/v1/race", s.handleAnalyze("race"))
-	mux.Handle("/v1/taint", s.handleAnalyze("taint"))
-	mux.Handle("/v1/query", s.handleQuery())
+	for _, view := range views {
+		mux.Handle("/v1/"+view, s.handle(view))
+	}
 	// One exposition combining the aggregated analysis registry (rendered
 	// by the obsv exporter) with the server's own HTTP series. The server
 	// owns this mux outright — obsv.RegisterMetrics never touches a global.
@@ -204,17 +203,16 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeJSON sends a JSON response, surfacing the flight-dump reference as a
-// header so the access-log middleware can stamp it into the request line.
-func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, resp *AnalyzeResponse) {
-	if resp.FlightDump != "" {
-		w.Header().Set(flightDumpHeader, resp.FlightDump)
+// writeJSON sends a JSON response, surfacing the spooled flight dump's name
+// as a header so the access-log middleware can stamp it into the request
+// line.
+func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, body any, dump string) {
+	if dump != "" {
+		w.Header().Set(flightDumpHeader, dump)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(resp); err != nil {
+	if err := json.NewEncoder(w).Encode(body); err != nil {
 		s.log.Error("write response", "request_id", RequestIDFrom(r.Context()), "err", err)
 	}
 }
@@ -224,7 +222,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 	s.writeJSON(w, r, status, &AnalyzeResponse{
 		RequestID: RequestIDFrom(r.Context()),
 		Error:     msg,
-	})
+	}, "")
 }
 
 // Warmup runs the self-analysis gate: the server reports ready only once
@@ -242,9 +240,6 @@ func (s *Server) Warmup() error {
 	s.ready.Store(true)
 	return nil
 }
-
-// Ready reports whether warmup has passed.
-func (s *Server) Ready() bool { return s.ready.Load() }
 
 // Start listens on addr and serves in a background goroutine, returning the
 // bound address (useful with ":0"). Warmup is launched asynchronously, so

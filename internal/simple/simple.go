@@ -14,6 +14,7 @@ package simple
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/cc/ast"
 	"repro/internal/cc/token"
@@ -104,24 +105,6 @@ type Ref struct {
 
 // VarRef returns a plain variable reference.
 func VarRef(v *ast.Object, pos token.Pos) *Ref { return &Ref{Var: v, Pos: pos} }
-
-// IsIndirect reports whether the reference goes through a pointer.
-func (r *Ref) IsIndirect() bool { return r.Deref }
-
-// HasIndex reports whether any selector is an array index.
-func (r *Ref) HasIndex() bool {
-	for _, s := range r.Path {
-		if s.Kind == SelIndex {
-			return true
-		}
-	}
-	for _, s := range r.DPath {
-		if s.Kind == SelIndex {
-			return true
-		}
-	}
-	return false
-}
 
 // Type computes the C type of the referenced value.
 func (r *Ref) Type() *types.Type {
@@ -472,6 +455,10 @@ type Program struct {
 	// initializers; the analysis evaluates them before main's body.
 	GlobalInit *Seq
 	Functions  []*Function
+
+	// funcByName indexes Functions. It is built once, on the first
+	// Lookup: one program may back several concurrent analyses.
+	indexOnce  sync.Once
 	funcByName map[string]*Function
 
 	// NumBasicStmts and NumStmts are statement counts used by Table 2.
@@ -483,12 +470,12 @@ type Program struct {
 
 // Lookup returns the function with the given name, or nil.
 func (p *Program) Lookup(name string) *Function {
-	if p.funcByName == nil {
+	p.indexOnce.Do(func() {
 		p.funcByName = make(map[string]*Function, len(p.Functions))
 		for _, f := range p.Functions {
 			p.funcByName[f.Name()] = f
 		}
-	}
+	})
 	return p.funcByName[name]
 }
 

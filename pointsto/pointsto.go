@@ -76,8 +76,7 @@ type Config struct {
 	// spans into, taking precedence over Trace/TraceBuffer. This is the
 	// request-scoped tracing path: a server opens its own span (stamped
 	// with the request ID) on the tracer around the analysis, so the flight
-	// record and trace exports carry the request identity. Consumed per
-	// run, like Metrics and Flight.
+	// record and trace exports carry the request identity.
 	Tracer *obsv.Tracer
 	// MaxSteps bounds basic-statement evaluations as a runaway guard
 	// (0 means the engine default of 50 million).
@@ -85,14 +84,11 @@ type Config struct {
 	// Metrics, when non-nil, is the live registry the analysis reports
 	// through, so an in-flight run can be scraped (obsv.RegisterMetrics /
 	// obsv.WritePrometheus). It must be fresh per run: counters accumulate,
-	// so a second run through the same registry would double-account. To
-	// make reuse safe for callers that pool Configs (pta-server), the
-	// Metrics, Flight and Tracer attachments are consume-once — an Analyze
-	// call nils them on completion; set them again for the next run.
+	// so a second run through the same registry would double-account.
 	Metrics *obsv.Metrics
 	// Flight attaches the always-on flight recorder: bounded last-N spans
 	// plus periodic progress samples, dumped to FlightDump when the run
-	// panics, exceeds MaxSteps, or stalls. Consumed per run, like Metrics.
+	// panics, exceeds MaxSteps, or stalls.
 	Flight *obsv.FlightRecorder
 	// FlightDump receives flight-record and stall dumps (default stderr).
 	FlightDump io.Writer
@@ -250,13 +246,6 @@ func AnalyzeProgram(prog *simple.Program, cfg *Config) (*Analysis, error) {
 		if len(demand.clients) > 0 {
 			opts.RecordContexts = true
 		}
-	}
-	// The observability attachments are consume-once: nil them out before
-	// the run so a pooled Config reused for a later Analyze cannot report
-	// into a registry that already accumulated this run (double accounting).
-	// The run itself holds them through opts; results keep the snapshot.
-	if cfg != nil {
-		cfg.Metrics, cfg.Flight, cfg.Tracer = nil, nil, nil
 	}
 	res, err := pta.Analyze(prog, opts)
 	if err != nil {
