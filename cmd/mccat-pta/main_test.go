@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 func runCLI(t *testing.T, args ...string) (int, string, string) {
@@ -139,5 +141,22 @@ func TestDemandFlags(t *testing.T) {
 
 	if code, _, _ = runCLI(t, "-query", "nonsense", uaf); code != 2 {
 		t.Errorf("malformed -query exit = %d, want 2", code)
+	}
+}
+
+// TestModRefGolden pins -modref output. MOD/REF sets and access records are
+// judged under each statement's input merged over all calling contexts,
+// even though the analysis also records per-context inputs for the check,
+// race and taint clients.
+func TestModRefGolden(t *testing.T) {
+	for _, tc := range []struct{ golden, src string }{
+		{"modref_dry.golden", filepath.Join("..", "..", "internal", "bench", "programs", "dry.c")},
+		{"modref_ctx.golden", filepath.Join("..", "..", "examples", "check", "ctx.c")},
+	} {
+		code, out, stderr := runCLI(t, "-modref", tc.src)
+		if code != 0 {
+			t.Fatalf("%s: exit code %d (stderr: %s)", tc.src, code, stderr)
+		}
+		testutil.Golden(t, filepath.Join("testdata", tc.golden), out)
 	}
 }

@@ -125,7 +125,8 @@ func TestRunRejectsWrongOptions(t *testing.T) {
 }
 
 // TestCheckRerunsAnalysis verifies the public entry point works from a
-// default analysis (no RecordContexts): Check must re-run internally.
+// ShareContexts analysis, whose cache hits leave calling contexts
+// unannotated: Check must re-run it internally without sharing.
 func TestCheckRerunsAnalysis(t *testing.T) {
 	a, err := pointsto.AnalyzeSource("re.c", `
 int main(void) {

@@ -73,24 +73,22 @@ func (a Access) String() string {
 	return fmt.Sprintf("%s %s (%s) @ %s", op, a.Loc.Name(), a.Def, a.Pos)
 }
 
-// Result holds per-node MOD/REF sets and access records (in the node's own
-// naming).
+// Result holds per-node MOD/REF sets (in the node's own naming).
 type Result struct {
 	res *pta.Result
 	mod map[*invgraph.Node]locSet
 	ref map[*invgraph.Node]locSet
-	acc map[*invgraph.Node][]Access
 }
 
 // Compute runs the bottom-up MOD/REF propagation over the invocation graph
 // until the sets stabilize (recursion makes the graph cyclic through the
-// approximate/recursive back-edges).
+// approximate/recursive back-edges). Every statement is judged under its
+// merged input, whether or not the analysis recorded calling contexts.
 func Compute(res *pta.Result) *Result {
 	r := &Result{
 		res: res,
 		mod: make(map[*invgraph.Node]locSet),
 		ref: make(map[*invgraph.Node]locSet),
-		acc: make(map[*invgraph.Node][]Access),
 	}
 	// Collect nodes in post-order so callees are computed before callers
 	// on the first pass; iterate to a fixed point for recursion.
@@ -115,32 +113,36 @@ func Compute(res *pta.Result) *Result {
 			break
 		}
 	}
-	for _, n := range nodes {
-		r.recordAccesses(n)
-	}
 	return r
 }
 
-// nodeInput returns the points-to set flowing into b as seen by node n: the
-// per-context annotation when contexts were recorded (so each invocation's
-// effects are judged under its own input), the global merge otherwise.
-func (r *Result) nodeInput(n *invgraph.Node, b *simple.Basic) (ptset.Set, bool) {
-	if ctxs := r.res.Annots.ContextsAt(b); ctxs != nil {
-		in, ok := ctxs[n]
-		return in, ok
-	}
-	return r.res.Annots.At(b)
+// Accesses returns the node's positioned access records in lexical order
+// (the order the body walk visits them), in the node's own naming, judged
+// under each statement's merged input: writes through the L-locations of
+// assignment targets, reads through every other reference — including the
+// base pointer of each dereference, which is itself loaded. Pure address
+// computations (&x) touch nothing. Callee effects are NOT included:
+// accesses are per-node, and interprocedural clients walk the invocation
+// graph themselves.
+func (r *Result) Accesses(n *invgraph.Node) []Access {
+	return r.accesses(n, r.res.Annots.At)
 }
 
-// recordAccesses collects the positioned access records of one node's body:
-// writes through the L-locations of assignment targets, reads through every
-// other reference — including the base pointer of each dereference, which is
-// itself loaded. Pure address computations (&x) touch nothing. Callee
-// effects are NOT included: accesses are per-node, and interprocedural
-// clients walk the invocation graph themselves.
-func (r *Result) recordAccesses(n *invgraph.Node) {
+// ContextAccesses is Accesses judged under the node's own per-context
+// input, so each invocation's accesses follow its calling context: the race
+// detector's view. The analysis must have recorded calling contexts.
+func (r *Result) ContextAccesses(n *invgraph.Node) []Access {
+	return r.accesses(n, func(b *simple.Basic) (ptset.Set, bool) {
+		in, ok := r.res.Annots.ContextsAt(b)[n]
+		return in, ok
+	})
+}
+
+// accesses collects n's access records, reading each statement's input
+// from input.
+func (r *Result) accesses(n *invgraph.Node, input func(*simple.Basic) (ptset.Set, bool)) []Access {
 	if n.Kind == invgraph.Approximate {
-		return // the body is analyzed under the recursive partner
+		return nil // the body is analyzed under the recursive partner
 	}
 	var accs []Access
 	add := func(l *loc.Location, d ptset.Def, write bool, pos token.Pos, b *simple.Basic) {
@@ -157,7 +159,7 @@ func (r *Result) recordAccesses(n *invgraph.Node) {
 		if !ok || b.Kind == simple.StmtNop {
 			return
 		}
-		in, haveAnn := r.nodeInput(n, b)
+		in, haveAnn := input(b)
 		if !haveAnn {
 			return
 		}
@@ -183,12 +185,8 @@ func (r *Result) recordAccesses(n *invgraph.Node) {
 			}
 		}
 	})
-	r.acc[n] = accs
+	return accs
 }
-
-// Accesses returns the node's recorded accesses in lexical order (the order
-// the body walk visits them), in the node's own naming.
-func (r *Result) Accesses(n *invgraph.Node) []Access { return r.acc[n] }
 
 // update recomputes one node's sets; returns whether they grew.
 func (r *Result) update(n *invgraph.Node) bool {

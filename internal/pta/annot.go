@@ -24,7 +24,8 @@ type Annotations struct {
 	// invocation-graph node that reached it. A node can reach a statement
 	// several times (recursion iterations, memoized re-analysis); merging
 	// only weakens definiteness, so a relationship definite in the merged
-	// set was definite on every real visit.
+	// set was definite on every real visit. While it is on, visits join
+	// only into their node's set, and finish folds those sets into in.
 	perNode map[*simple.Basic]map[*invgraph.Node]ptset.Set
 }
 
@@ -43,9 +44,11 @@ func (a *Annotations) EnableContexts() {
 // ContextsEnabled reports whether per-node recording is on.
 func (a *Annotations) ContextsEnabled() bool { return a.perNode != nil }
 
-// Record merges the input set flowing into b, attributed to the
-// invocation-graph node ign (which may be nil for synthetic contexts).
-// Safe for concurrent use; Merge is commutative and associative, so the
+// Record joins the input set flowing into b into its accumulator: the one
+// for the invocation-graph node ign when contexts are enabled, the
+// statement's merge otherwise (or when ign is nil, for synthetic contexts).
+// The first visit copies in; later visits join in place. Safe for
+// concurrent use; the join is commutative and associative, so the
 // accumulated annotation is independent of recording order.
 func (a *Annotations) Record(b *simple.Basic, in ptset.Set, ign *invgraph.Node) {
 	if in.IsBottom() {
@@ -53,12 +56,8 @@ func (a *Annotations) Record(b *simple.Basic, in ptset.Set, ign *invgraph.Node) 
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if old, ok := a.in[b]; ok {
-		a.in[b] = ptset.Merge(old, in)
-	} else {
-		a.in[b] = in.Clone()
-	}
 	if a.perNode == nil || ign == nil {
+		joinInto(a.in, b, in)
 		return
 	}
 	m := a.perNode[b]
@@ -66,10 +65,30 @@ func (a *Annotations) Record(b *simple.Basic, in ptset.Set, ign *invgraph.Node) 
 		m = make(map[*invgraph.Node]ptset.Set)
 		a.perNode[b] = m
 	}
-	if old, ok := m[ign]; ok {
-		m[ign] = ptset.Merge(old, in)
+	joinInto(m, ign, in)
+}
+
+// joinInto joins in into m[k], copying it on the first visit.
+func joinInto[K comparable](m map[K]ptset.Set, k K, in ptset.Set) {
+	if acc, ok := m[k]; ok {
+		acc.Join(in)
 	} else {
-		m[ign] = in.Clone()
+		m[k] = in.Clone()
+	}
+}
+
+// finish builds each statement's merge from its per-node sets once the run
+// is over. A statement reached in one context only shares that context's
+// set: annotations are read-only from here on.
+func (a *Annotations) finish() {
+	for b, m := range a.perNode {
+		for _, s := range m {
+			if _, ok := a.in[b]; !ok && len(m) == 1 {
+				a.in[b] = s
+				continue
+			}
+			joinInto(a.in, b, s)
+		}
 	}
 }
 

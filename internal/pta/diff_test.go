@@ -15,6 +15,7 @@ import (
 	"repro/internal/pta/ptset"
 	"repro/internal/simple"
 	"repro/internal/simplify"
+	"repro/internal/testutil"
 )
 
 // fixture is one C program shared by the differential and determinism tests:
@@ -135,7 +136,9 @@ func TestSubsetOfAndersen(t *testing.T) {
 // TestSerialParallelMemoEquivalence checks the central invariant of the
 // parallel evaluator and the input-keyed memoization: for every fixture, the
 // serial, parallel, memoized and unmemoized analyses produce byte-identical
-// canonical renderings of the complete result.
+// canonical renderings of the complete result. Recording calling contexts
+// changes neither the rendering nor the fact count, and each statement's
+// contexts join to its merge.
 func TestSerialParallelMemoEquivalence(t *testing.T) {
 	variants := []struct {
 		name string
@@ -146,16 +149,27 @@ func TestSerialParallelMemoEquivalence(t *testing.T) {
 		{"parallel8", pta.Options{Workers: 8}},
 		{"serial-nomemo", pta.Options{Workers: 1, NoMemo: true}},
 		{"parallel8-nomemo", pta.Options{Workers: 8, NoMemo: true}},
+		{"serial-contexts", pta.Options{Workers: 1, RecordContexts: true}},
+		{"parallel2-contexts", pta.Options{Workers: 2, RecordContexts: true}},
+		{"parallel8-contexts", pta.Options{Workers: 8, RecordContexts: true}},
 	}
 	for _, fx := range loadFixtures(t) {
 		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
-			want := pta.Fingerprint(analyze(t, fx.prog, variants[0].opts))
+			ref := analyze(t, fx.prog, variants[0].opts)
+			want := pta.Fingerprint(ref)
 			for _, v := range variants[1:] {
-				got := pta.Fingerprint(analyze(t, fx.prog, v.opts))
+				res := analyze(t, fx.prog, v.opts)
+				got := pta.Fingerprint(res)
 				if got != want {
 					t.Errorf("%s fingerprint differs from serial (lengths %d vs %d):\n%s",
 						v.name, len(got), len(want), firstDiff(want, got))
+				}
+				if got, want := res.Annots.TotalFacts(), ref.Annots.TotalFacts(); got != want {
+					t.Errorf("%s records %d facts, serial %d", v.name, got, want)
+				}
+				if v.opts.RecordContexts {
+					testutil.ContextsJoinToMerge(t, res)
 				}
 			}
 		})

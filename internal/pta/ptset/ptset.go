@@ -225,6 +225,43 @@ func Merge(a, b Set) Set {
 	return out
 }
 
+// Join merges o into s in place, leaving s equal to Merge(s, o) without
+// copying s. BOTTOM o is the identity; joining into a BOTTOM or frozen s
+// panics, because neither can change in place.
+func (s Set) Join(o Set) {
+	if s.bottom {
+		panic("ptset: join into BOTTOM")
+	}
+	if s.frozen {
+		panic("ptset: join into frozen set")
+	}
+	if o.bottom {
+		return
+	}
+	n, shared := len(s.m), 0
+	for e, do := range o.m {
+		ds, ok := s.m[e]
+		if !ok {
+			s.m[e] = P // absent on the other path
+			continue
+		}
+		shared++
+		if ds == D && do == P {
+			s.m[e] = P
+		}
+	}
+	if shared == n {
+		return // every edge of s is in o: none lost definiteness
+	}
+	for e, ds := range s.m {
+		if ds == D {
+			if _, ok := o.m[e]; !ok {
+				s.m[e] = P
+			}
+		}
+	}
+}
+
 // MergeAll joins any number of sets.
 func MergeAll(sets ...Set) Set {
 	out := NewBottom()

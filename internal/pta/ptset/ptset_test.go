@@ -298,3 +298,62 @@ func TestTargetsSources(t *testing.T) {
 		t.Errorf("Sources(v2) = %d, want 2", n)
 	}
 }
+
+// TestJoinEqualsMerge checks the in-place Join against Merge on seeded
+// random sets: definite/possible mixes over overlapping and disjoint edge
+// pools, plus the empty, BOTTOM and frozen interned sources. Join must
+// leave its source untouched.
+func TestJoinEqualsMerge(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	// randSet draws up to max edges with sources in [lo, hi) of the pool.
+	randSet := func(lo, hi, max int) Set {
+		s := New()
+		for i := r.Intn(max + 1); i > 0; i-- {
+			d := P
+			if r.Intn(3) > 0 {
+				d = D
+			}
+			s.Insert(pool[lo+r.Intn(hi-lo)], pool[r.Intn(len(pool))], d)
+		}
+		return s
+	}
+	it := NewInterner()
+	check := func(name string, dst, src Set) {
+		t.Helper()
+		want := Merge(dst, src)
+		srcBefore := src.String()
+		got := dst.Clone()
+		got.Join(src)
+		if !Equal(got, want) {
+			t.Fatalf("%s: Join(%s, %s) = %s, Merge = %s", name, dst, src, got, want)
+		}
+		if src.String() != srcBefore {
+			t.Fatalf("%s: Join changed its source from %s to %s", name, srcBefore, src)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		a := randSet(0, len(pool), 12)
+		check("overlapping", a, randSet(0, len(pool), 12))
+		check("dense overlap", randSet(0, 2, 16), randSet(0, 2, 16))
+		check("disjoint", randSet(0, 4, 10), randSet(4, 8, 10))
+		check("subset source", a, a.Clone())
+		check("empty source", a, New())
+		check("empty destination", New(), a)
+		check("BOTTOM source", a, NewBottom())
+		check("frozen source", randSet(0, len(pool), 12), it.Intern(a).AsSet())
+	}
+
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("Join into %s did not panic", name)
+			}
+		}()
+		f()
+	}
+	s := New()
+	s.Insert(pool[0], pool[1], D)
+	mustPanic("BOTTOM", func() { NewBottom().Join(s) })
+	mustPanic("a frozen set", func() { it.Intern(s).AsSet().Join(New()) })
+}

@@ -10,14 +10,17 @@ import (
 	"repro/internal/pta/ptset"
 	"repro/internal/ptagen"
 	"repro/internal/simple"
+	"repro/internal/testutil"
 )
 
 // The differential matrix: ~20 generated programs spanning the dial space.
-// Each one is checked for (a) fingerprint equivalence across serial,
-// parallel and unmemoized evaluation, and (b) the precision ordering
-// CS ⊆ Andersen on the shared location domain. Sizes are kept small so the
-// whole matrix runs inside a normal `go test ./...`; the CI smoke job runs
-// the same checks on a mid-size program via PTAGEN_DIFF_LARGE=1.
+// Each one is checked for (a) fingerprint and fact-count equivalence across
+// serial, parallel and unmemoized evaluation, with and without calling
+// contexts recorded (whose per-statement join must be the merge), and (b)
+// the precision ordering CS ⊆ Andersen on the shared location domain.
+// Sizes are kept small so the whole matrix runs inside a normal
+// `go test ./...`; the CI smoke job runs the same checks on a mid-size
+// program via PTAGEN_DIFF_LARGE=1.
 func seedMatrix() []ptagen.Config {
 	small := func(seed int64) ptagen.Config {
 		return ptagen.Config{Seed: seed, Depth: 2, Width: 3, StmtsPerFunc: 10,
@@ -88,6 +91,9 @@ func checkProgram(t *testing.T, cfg ptagen.Config) {
 		{"parallel-2", pta.Options{Workers: 2}},
 		{"parallel-8", pta.Options{Workers: 8}},
 		{"no-memo", pta.Options{Workers: 1, NoMemo: true}},
+		{"serial-contexts", pta.Options{Workers: 1, RecordContexts: true}},
+		{"parallel-2-contexts", pta.Options{Workers: 2, RecordContexts: true}},
+		{"parallel-8-contexts", pta.Options{Workers: 8, RecordContexts: true}},
 	}
 	var ref *pta.Result
 	var refFP string
@@ -96,6 +102,9 @@ func checkProgram(t *testing.T, cfg ptagen.Config) {
 		if err != nil {
 			t.Fatalf("%s/%s: %v", meta.Name, v.name, err)
 		}
+		if v.opts.RecordContexts {
+			testutil.ContextsJoinToMerge(t, res)
+		}
 		fp := pta.Fingerprint(res)
 		if ref == nil {
 			ref, refFP = res, fp
@@ -103,6 +112,9 @@ func checkProgram(t *testing.T, cfg ptagen.Config) {
 		}
 		if fp != refFP {
 			t.Errorf("%s: %s fingerprint diverges from serial", meta.Name, v.name)
+		}
+		if got, want := res.Annots.TotalFacts(), ref.Annots.TotalFacts(); got != want {
+			t.Errorf("%s: %s records %d facts, serial %d", meta.Name, v.name, got, want)
 		}
 	}
 

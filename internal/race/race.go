@@ -219,12 +219,12 @@ func spawnSiteInLoop(body *simple.Seq, site *simple.Basic) bool {
 	return inLoop
 }
 
-// accessesAt groups a node's recorded accesses by statement, lazily.
+// accessesAt groups a node's per-context accesses by statement, lazily.
 func (d *detector) accessesAt(n *invgraph.Node, b *simple.Basic) []modref.Access {
 	by, ok := d.accBy[n]
 	if !ok {
 		by = make(map[*simple.Basic][]modref.Access)
-		for _, acc := range d.mr.Accesses(n) {
+		for _, acc := range d.mr.ContextAccesses(n) {
 			by[acc.Stmt] = append(by[acc.Stmt], acc)
 		}
 		d.accBy[n] = by

@@ -144,6 +144,41 @@ int main(void) {
 	}
 }
 
+// TestPerContextAccesses: accesses are judged under each invocation's own
+// input. bump writes through a pointer that is definite in the worker's
+// call and possibly NULL in main's earlier call; judged under the merge of
+// both, the worker's write would only possibly touch counter, and the
+// definite race would drop to a warning.
+func TestPerContextAccesses(t *testing.T) {
+	diags := analyzeSrc(t, "ctxinput.c", `
+int counter;
+int other;
+long t;
+void bump(int *p) {
+    *p = *p + 1;
+}
+void *worker(void *arg) {
+    bump(&counter);
+    return 0;
+}
+int main(int argc, char **argv) {
+    int *q;
+    q = 0;
+    if (argc > 1)
+        q = &other;
+    bump(q);
+    pthread_create(&t, 0, worker, 0);
+    counter = 5;
+    pthread_join(t, 0);
+    return 0;
+}
+`)
+	if errs, warns := counts(diags); errs != 2 || warns != 0 {
+		t.Fatalf("want the worker's read and write of counter as 2 errors, got %d errors, %d warnings:\n%s",
+			errs, warns, strings.Join(testutil.Render(diags), "\n"))
+	}
+}
+
 func analyzeSrc(t *testing.T, name, src string) []race.Diag {
 	t.Helper()
 	a, err := pointsto.AnalyzeSource(name, src, nil)

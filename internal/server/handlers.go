@@ -232,9 +232,9 @@ func (s *Server) run(id, view string, req *QueryRequest) (int, any, string) {
 
 // analyze runs the engine. Whether the run finishes or unwinds, the
 // request registry is complete for what happened: analyze answers with it
-// and folds it into the server totals, so /metrics stays monotone. It
-// returns before the view renders, so a client's re-run does not keep this
-// run's result alive.
+// and folds it into the server totals, so /metrics stays monotone. The
+// check, race and taint views read this run's per-context annotations, so
+// the registry covers all the engine work of the request.
 func (s *Server) analyze(prog *simple.Program, cfg *pointsto.Config, resp *AnalyzeResponse) (a *pointsto.Analysis, err error) {
 	defer func() {
 		if a != nil {

@@ -150,8 +150,9 @@ func TestRunRejectsWrongOptions(t *testing.T) {
 	}
 }
 
-// TestTaintRerunsAnalysis: the public entry point must work from an analysis
-// configured without per-context annotations by re-running internally.
+// TestTaintRerunsAnalysis: the public entry point must work from a
+// ShareContexts analysis, which records no per-context annotations, by
+// re-running it internally without sharing.
 func TestTaintRerunsAnalysis(t *testing.T) {
 	a, err := pointsto.AnalyzeSource("re.c", `
 int main(int argc, char **argv) {

@@ -1,7 +1,8 @@
 // Package testutil is the shared golden-fixture harness for the analysis
 // clients (check, race, taint): fixture discovery over an examples/
-// subdirectory, source-to-Analysis helpers, diagnostic rendering, and golden
-// file comparison with the conventional -update flag.
+// subdirectory, source-to-Analysis helpers, diagnostic rendering, golden
+// file comparison with the conventional -update flag, and the annotation
+// invariants the differential matrices assert.
 package testutil
 
 import (
@@ -13,6 +14,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/pta"
+	"repro/internal/pta/ptset"
+	"repro/internal/simple"
 	"repro/pointsto"
 )
 
@@ -102,4 +106,28 @@ func GoldenLines(t *testing.T, path string, lines []string) {
 		got = strings.Join(lines, "\n") + "\n"
 	}
 	Golden(t, path, got)
+}
+
+// ContextsJoinToMerge checks that at every statement of a result recorded
+// with calling contexts, the join of the per-context inputs is the merged
+// input, and that a statement has contexts exactly when it has a merge.
+func ContextsJoinToMerge(t *testing.T, res *pta.Result) {
+	t.Helper()
+	i := 0
+	res.Prog.ForEachBasic(func(b *simple.Basic) {
+		i++
+		merged, ok := res.Annots.At(b)
+		ctxs := res.Annots.ContextsAt(b)
+		if ok != (len(ctxs) > 0) {
+			t.Errorf("stmt %d @%v: merge recorded %v, but %d contexts", i, b.Pos, ok, len(ctxs))
+			return
+		}
+		join := ptset.NewBottom()
+		for _, s := range ctxs {
+			join = ptset.Merge(join, s)
+		}
+		if ok && !ptset.Equal(join, merged) {
+			t.Errorf("stmt %d @%v: join of %d contexts %s != merge %s", i, b.Pos, len(ctxs), join, merged)
+		}
+	})
 }

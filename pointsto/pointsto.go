@@ -239,13 +239,16 @@ func AnalyzeProgram(prog *simple.Program, cfg *Config) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The check, race and taint clients grade findings by calling context,
+	// so a run records per-context annotations for them: demand mode at
+	// the seeded statements of registered clients, exhaustive mode
+	// everywhere. A ShareContexts run cannot, since its cache hits skip
+	// function bodies; contextResult re-runs it.
 	if demand != nil {
 		opts.Demand = demand.seeds
-		// The clients' error/warning splits read per-context annotations;
-		// demand mode records them only at the seeded statements.
-		if len(demand.clients) > 0 {
-			opts.RecordContexts = true
-		}
+		opts.RecordContexts = len(demand.clients) > 0
+	} else {
+		opts.RecordContexts = !opts.ShareContexts
 	}
 	res, err := pta.Analyze(prog, opts)
 	if err != nil {
@@ -383,10 +386,10 @@ func (a *Analysis) Dependences() *deptest.Result {
 
 // Check runs the context-sensitive memory-safety checker (NULL dereference,
 // uninitialized dereference, use-after-free, double free, dangling stack
-// pointers) over the program. The checker needs per-context annotations, so
-// if this analysis was run without them (or with ShareContexts, whose cache
-// hits skip the per-context re-analysis) the points-to analysis is re-run
-// internally with the required options; the re-run does not disturb Result.
+// pointers) over the program. The checker reads the per-context annotations
+// the analysis recorded. An analysis run with ShareContexts, whose cache
+// hits skip function bodies, has none, so it is re-run internally without
+// sharing; the re-run does not disturb Result.
 func (a *Analysis) Check() ([]check.Diag, error) {
 	res, err := a.contextResult("check")
 	if err != nil {
@@ -398,9 +401,9 @@ func (a *Analysis) Check() ([]check.Diag, error) {
 // Races runs the context-sensitive lockset-based data-race detector over
 // the program: pthread_create entries become concurrent thread roots, and
 // accesses to thread-shared locations are checked for lockset-disjoint
-// conflicting pairs. Like Check, the detector needs per-context annotations,
-// so an analysis run without them (or with ShareContexts) is re-run
-// internally with the required options; the re-run does not disturb Result.
+// conflicting pairs. Like Check, the detector reads per-context
+// annotations, and an analysis run with ShareContexts is re-run internally
+// without sharing; the re-run does not disturb Result.
 func (a *Analysis) Races() ([]race.Diag, error) {
 	res, err := a.contextResult("race")
 	if err != nil {
@@ -411,9 +414,9 @@ func (a *Analysis) Races() ([]race.Diag, error) {
 
 // Taint runs the context-sensitive taint-propagation client with the default
 // source/sink/sanitizer tables, extended with any "taint:sanitizes" pragmas
-// found in the source text. Like Check and Races, the client needs
-// per-context annotations, so an analysis run without them (or with
-// ShareContexts) is re-run internally; the re-run does not disturb Result.
+// found in the source text. Like Check and Races, the client reads
+// per-context annotations, and an analysis run with ShareContexts is re-run
+// internally without sharing; the re-run does not disturb Result.
 func (a *Analysis) Taint() ([]taint.Diag, error) {
 	cfg := taint.DefaultConfig()
 	if a.Source != "" {
@@ -433,10 +436,11 @@ func (a *Analysis) TaintWith(cfg *taint.Config) ([]taint.Diag, error) {
 }
 
 // contextResult returns a Result carrying per-context annotations for the
-// named client, re-running the analysis when this one was run without
-// them. A demand-mode analysis is never silently re-run exhaustively: the
-// client must have been registered in Config.DemandClients, in which case
-// the demand result already carries the annotations it needs.
+// named client: the analysis's own, except after a ShareContexts run, which
+// is re-run without sharing. A demand-mode analysis is never silently
+// re-run exhaustively: the client must have been registered in
+// Config.DemandClients, in which case the demand result already carries
+// the annotations it needs.
 func (a *Analysis) contextResult(client string) (*pta.Result, error) {
 	res := a.Result
 	if a.demand != nil {
@@ -445,7 +449,7 @@ func (a *Analysis) contextResult(client string) (*pta.Result, error) {
 		}
 		return res, nil
 	}
-	if !res.Annots.ContextsEnabled() || res.Opts.ShareContexts {
+	if res.Opts.ShareContexts {
 		opts := res.Opts
 		opts.ShareContexts = false
 		opts.RecordContexts = true

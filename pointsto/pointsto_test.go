@@ -268,3 +268,35 @@ func TestConfigExternalTracer(t *testing.T) {
 		t.Errorf("tracer missing spans: request=%v analysis=%v", haveReq, haveAnalysis)
 	}
 }
+
+// TestOneRunServesClients: on a default exhaustive analysis, Check, Races
+// and Taint read the per-context annotations of the analysis itself, so
+// the caller's tracer sees exactly one engine run.
+func TestOneRunServesClients(t *testing.T) {
+	tr := obsv.NewTracer(1, 1<<16)
+	a, err := AnalyzeSource("fig6.c", figure6, &Config{Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Races(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Taint(); err != nil {
+		t.Fatal(err)
+	}
+	if d := tr.Dropped(); d != 0 {
+		t.Fatalf("tracer dropped %d events; the span count below would be incomplete", d)
+	}
+	runs := 0
+	for _, e := range tr.Events() {
+		if e.Cat == obsv.CatPhase && e.Name == "analysis" {
+			runs++
+		}
+	}
+	if runs != 1 {
+		t.Errorf("%d engine runs for one analysis and its three clients, want 1", runs)
+	}
+}
