@@ -16,7 +16,7 @@
 //	-replace   print indirect references replaceable via definite info
 //	-alias     print alias pairs implied at main's exit (depth 2)
 //	-stats     print invocation graph and analysis statistics (steps,
-//	           memoization hit rate, hash-consing, peak set size)
+//	           memoization hit rate, peak set size, lock contention)
 //	-workers N worker pool size (0 = GOMAXPROCS, 1 = serial; results are
 //	           bit-identical for every worker count)
 //	-check     run the memory-safety checker (NULL/uninit deref, UAF, dangling)
@@ -38,9 +38,9 @@
 //
 // Observability flags:
 //
-//	-metrics        print the full metrics report (engine counters, memo and
-//	                intern hit rates, set-cardinality distribution, per-function
-//	                cost table)
+//	-metrics        print the full metrics report (engine counters, memo hit
+//	                rate, set-cardinality distribution, per-function cost
+//	                table)
 //	-metrics-out F  write the metrics snapshot to F as JSON
 //	-trace F        record a structured execution trace and write it to F as
 //	                Chrome trace_event JSON (open in ui.perfetto.dev)
@@ -298,14 +298,11 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stdout, "workers %d, steps %d, peak set %d\n", a.Result.Workers, m.Steps, m.PeakSet)
 		fmt.Fprintf(stdout, "memo: %d hits / %d misses (%.1f%% hit rate)\n",
 			m.MemoHits, m.MemoMisses, 100*m.MemoHitRate)
-		fmt.Fprintf(stdout, "interning: %d distinct sets, %.1f%% hit rate\n",
-			m.InternDistinct, 100*m.InternHitRate)
 		fmt.Fprintf(stdout, "set cardinality: p50 %d, p90 %d, max %d\n",
 			m.Cardinality.P50, m.Cardinality.P90, m.Cardinality.Max)
 		fmt.Fprintf(stdout, "sched: %d tasks, %d steals, %d parks\n",
 			m.SchedTasks, m.SchedSteals, m.SchedParks)
-		fmt.Fprintf(stdout, "shards: intern %d (%d contended), loc %d (%d contended)\n",
-			m.InternShards, m.InternContended, m.LocShards, m.LocContended)
+		fmt.Fprintf(stdout, "locks: loc %d contended\n", m.LocContended)
 		if m.TraceDropped > 0 {
 			fmt.Fprintf(stdout, "trace: %d events dropped by ring overflow (raise -trace-buf)\n", m.TraceDropped)
 		}

@@ -25,7 +25,7 @@ func TestMetricsOut(t *testing.T) {
 		t.Fatalf("metrics-out is not JSON: %v", err)
 	}
 	for _, key := range []string{"steps", "memo_hits", "memo_misses", "memo_hit_rate",
-		"node_evals", "peak_set", "intern_distinct", "set_cardinality"} {
+		"node_evals", "peak_set", "set_cardinality"} {
 		if _, ok := snap[key]; !ok {
 			t.Errorf("metrics JSON missing key %q", key)
 		}
@@ -36,14 +36,14 @@ func TestMetricsOut(t *testing.T) {
 }
 
 // TestStatsIncludesSchedAndShards: the -stats view surfaces scheduler and
-// shard-contention counters.
+// lock-contention counters.
 func TestStatsIncludesSchedAndShards(t *testing.T) {
 	code, out, stderr := runCLI(t, "-bench", "hash", "-stats", "-workers", "4")
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr: %s", code, stderr)
 	}
 	for _, want := range []string{"sched: ", " tasks, ", " steals, ", " parks",
-		"shards: intern ", "contended"} {
+		"locks: loc ", " contended"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-stats output missing %q:\n%s", want, out)
 		}

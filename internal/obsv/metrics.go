@@ -260,7 +260,7 @@ func (m *Metrics) Func(name string) *FuncCost {
 // fresh registry (isolation), and its end-of-run snapshot is added here.
 // Counters add, the peak gauge takes the maximum, the cardinality histogram
 // merges bucket-exact, and the per-function cost table accumulates by name.
-// Snapshot-only fields the registry has no instrument for (interning, shard
+// Snapshot-only fields the registry has no instrument for (location-table
 // and trace accounting) are not aggregated. Safe for concurrent use.
 func (m *Metrics) Merge(s *MetricsSnapshot) {
 	if s == nil {
@@ -293,8 +293,8 @@ func (m *Metrics) Merge(s *MetricsSnapshot) {
 }
 
 // MetricsSnapshot is the exported, JSON-serializable view of a registry,
-// stored as pta.Result.Metrics. Interning and trace fields are filled by
-// the analysis from the intern table and tracer, which this package does
+// stored as pta.Result.Metrics. The location-table and trace fields are
+// filled by the analysis from the table and tracer, which this package does
 // not depend on.
 type MetricsSnapshot struct {
 	Steps           int64 `json:"steps"`
@@ -316,18 +316,22 @@ type MetricsSnapshot struct {
 	SchedSteals int64 `json:"sched_steals,omitempty"`
 	SchedParks  int64 `json:"sched_parks,omitempty"`
 
-	// Interning reports hash-consing activity (filled by the analysis).
-	InternDistinct int     `json:"intern_distinct"`
-	InternHits     uint64  `json:"intern_hits"`
-	InternMisses   uint64  `json:"intern_misses"`
-	InternHitRate  float64 `json:"intern_hit_rate"`
+	// LocContended counts location-table lock acquisitions that had to
+	// wait (filled by the analysis).
+	LocContended uint64 `json:"loc_contended,omitempty"`
 
-	// Shard contention (filled by the analysis from the intern and location
-	// tables): shard counts and lock acquisitions that had to wait.
-	InternShards    int    `json:"intern_shards,omitempty"`
-	InternContended uint64 `json:"intern_contended,omitempty"`
-	LocShards       int    `json:"loc_shards,omitempty"`
-	LocContended    uint64 `json:"loc_contended,omitempty"`
+	// The Intern* fields described the points-to set intern table, which
+	// is gone. They are never filled and never serialized, and remain only
+	// so existing readers keep compiling.
+	//
+	// Deprecated: always zero.
+	InternDistinct int `json:"-"`
+	// Deprecated: always zero.
+	InternHits uint64 `json:"-"`
+	// Deprecated: always zero.
+	InternMisses uint64 `json:"-"`
+	// Deprecated: always zero.
+	InternContended uint64 `json:"-"`
 
 	// Cardinality is the points-to set size distribution over statements.
 	Cardinality HistogramSnapshot `json:"set_cardinality"`

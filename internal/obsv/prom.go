@@ -63,12 +63,6 @@ var promMetrics = []promMetric{
 		func(s *MetricsSnapshot) float64 { return float64(s.SchedSteals) }, false},
 	{"pta_sched_parks_total", "counter", "Times a worker parked with no runnable task anywhere.",
 		func(s *MetricsSnapshot) float64 { return float64(s.SchedParks) }, false},
-	{"pta_intern_hits_total", "counter", "Hash-consing intern-table hits.",
-		func(s *MetricsSnapshot) float64 { return float64(s.InternHits) }, false},
-	{"pta_intern_misses_total", "counter", "Hash-consing intern-table misses (distinct sets created).",
-		func(s *MetricsSnapshot) float64 { return float64(s.InternMisses) }, false},
-	{"pta_intern_contended_total", "counter", "Intern-table shard lock acquisitions that had to wait.",
-		func(s *MetricsSnapshot) float64 { return float64(s.InternContended) }, false},
 	{"pta_loc_contended_total", "counter", "Location-table shard lock acquisitions that had to wait.",
 		func(s *MetricsSnapshot) float64 { return float64(s.LocContended) }, false},
 	{"pta_trace_emitted_total", "counter", "Trace events recorded into the ring buffers.",
@@ -84,14 +78,6 @@ var promMetrics = []promMetric{
 		func(s *MetricsSnapshot) float64 { return float64(s.PeakSet) }, false},
 	{"pta_memo_hit_rate", "gauge", "Memo hits over memo lookups, 0 when cold.",
 		func(s *MetricsSnapshot) float64 { return s.MemoHitRate }, false},
-	{"pta_intern_hit_rate", "gauge", "Intern-table hits over lookups, 0 when cold.",
-		func(s *MetricsSnapshot) float64 { return s.InternHitRate }, false},
-	{"pta_intern_distinct", "gauge", "Distinct hash-consed points-to sets in the intern table.",
-		func(s *MetricsSnapshot) float64 { return float64(s.InternDistinct) }, false},
-	{"pta_intern_shards", "gauge", "Intern-table shard count.",
-		func(s *MetricsSnapshot) float64 { return float64(s.InternShards) }, true},
-	{"pta_loc_shards", "gauge", "Location-table shard count.",
-		func(s *MetricsSnapshot) float64 { return float64(s.LocShards) }, true},
 }
 
 // WritePrometheus snapshots a live registry and renders it in Prometheus

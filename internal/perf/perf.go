@@ -24,8 +24,8 @@ import (
 
 // PerfProgram is the performance record of one benchmark program: wall
 // times of the serial, parallel and unmemoized analyses, the memoization
-// and hash-consing counters, and the cross-check that all three variants
-// produced byte-identical results.
+// counters, and the cross-check that all three variants produced
+// byte-identical results.
 type PerfProgram struct {
 	Name  string `json:"name"`
 	Steps int    `json:"steps"` // basic-statement evaluations (memoized)
@@ -39,10 +39,6 @@ type PerfProgram struct {
 	MemoHits    int     `json:"memo_hits"`
 	MemoMisses  int     `json:"memo_misses"`
 	MemoHitRate float64 `json:"memo_hit_rate"`
-
-	// Hash-consing: distinct sets in the intern table and its hit rate.
-	DistinctSets  int     `json:"distinct_sets"`
-	InternHitRate float64 `json:"intern_hit_rate"`
 
 	// PeakSetLen is the largest points-to set flowing into any statement.
 	PeakSetLen int `json:"peak_set_len"`
@@ -124,8 +120,6 @@ func RunPerf(names []string, workers, repeats int) (*PerfReport, error) {
 		p.Steps = int(sm.Steps)
 		p.MemoHits, p.MemoMisses = int(sm.MemoHits), int(sm.MemoMisses)
 		p.MemoHitRate = sm.MemoHitRate
-		p.DistinctSets = sm.InternDistinct
-		p.InternHitRate = sm.InternHitRate
 		p.PeakSetLen = int(sm.PeakSet)
 		if m := serial.Metrics; m != nil {
 			p.CardP50 = m.Cardinality.P50
@@ -321,13 +315,13 @@ func (r *PerfReport) WriteJSON(w io.Writer) error {
 // WriteTable renders the report as an aligned text table.
 func (r *PerfReport) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "points-to analysis performance (workers=%d, best of %d runs)\n\n", r.Workers, r.Repeats)
-	fmt.Fprintf(w, "%-11s %9s %9s %9s %9s %9s %7s %7s %6s %8s %11s %7s %5s\n",
-		"program", "serial", "parallel", "nomemo", "demand", "steps", "memo%", "intern%", "peak", "distinct", "facts dm/ex", "taint", "ok")
+	fmt.Fprintf(w, "%-11s %9s %9s %9s %9s %9s %7s %6s %11s %7s %5s\n",
+		"program", "serial", "parallel", "nomemo", "demand", "steps", "memo%", "peak", "facts dm/ex", "taint", "ok")
 	for _, p := range r.Programs {
 		ok := p.Identical && p.DemandIdentical
-		fmt.Fprintf(w, "%-11s %7.2fms %7.2fms %7.2fms %7.2fms %9d %6.1f%% %6.1f%% %6d %8d %11s %7s %5v\n",
+		fmt.Fprintf(w, "%-11s %7.2fms %7.2fms %7.2fms %7.2fms %9d %6.1f%% %6d %11s %7s %5v\n",
 			p.Name, p.WallSerialMS, p.WallParallelMS, p.WallNoMemoMS, p.WallDemandMS, p.Steps,
-			100*p.MemoHitRate, 100*p.InternHitRate, p.PeakSetLen, p.DistinctSets,
+			100*p.MemoHitRate, p.PeakSetLen,
 			fmt.Sprintf("%d/%d", p.FactsDemand, p.FactsExhaustive),
 			fmt.Sprintf("%dE/%dW", p.TaintErrors, p.TaintWarnings), ok)
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 // This file implements the -scale mode: wall-time trajectories of the same
-// analysis at increasing worker counts, with the scheduler and shard
+// analysis at increasing worker counts, with the scheduler and lock
 // counters that explain where the time went. The committed artifact is
 // BENCH_scale.json.
 
@@ -48,12 +48,9 @@ type ScalePoint struct {
 	SchedSteals int64 `json:"sched_steals"`
 	SchedParks  int64 `json:"sched_parks"`
 
-	// Sharded-structure contention: lock acquisitions on the points-to
-	// interner and the location table that found the shard already held.
-	InternShards    int    `json:"intern_shards"`
-	InternContended uint64 `json:"intern_contended"`
-	LocShards       int    `json:"loc_shards"`
-	LocContended    uint64 `json:"loc_contended"`
+	// LocContended counts location-table lock acquisitions that found the
+	// lock already held.
+	LocContended uint64 `json:"loc_contended"`
 }
 
 // ScaleProgram is the trajectory of one program across the worker set.
@@ -129,7 +126,7 @@ func ScaleTargetFromGen(cfg ptagen.Config) (ScaleTarget, error) {
 // RunScale measures each target at every worker count in workerSet (default
 // 1, 2, 4, 8; a leading 1 is forced since it is the speedup baseline and the
 // fingerprint reference), keeping the best of repeats wall times, and
-// records the scheduler and shard-contention counters of the best-timed run.
+// records the scheduler and lock-contention counters of the best-timed run.
 func RunScale(targets []ScaleTarget, workerSet []int, repeats int) (*ScaleReport, error) {
 	if len(workerSet) == 0 {
 		workerSet = []int{1, 2, 4, 8}
@@ -168,9 +165,6 @@ func RunScale(targets []ScaleTarget, workerSet []int, repeats int) (*ScaleReport
 				pt.SchedTasks = m.SchedTasks
 				pt.SchedSteals = m.SchedSteals
 				pt.SchedParks = m.SchedParks
-				pt.InternShards = m.InternShards
-				pt.InternContended = m.InternContended
-				pt.LocShards = m.LocShards
 				pt.LocContended = m.LocContended
 			}
 			fp := pta.Fingerprint(res)
@@ -202,14 +196,14 @@ func (r *ScaleReport) WriteJSON(w io.Writer) error {
 func (r *ScaleReport) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "scaling trajectory (gomaxprocs=%d, cpus=%d, best of %d runs)\n\n",
 		r.GOMAXPROCS, r.NumCPU, r.Repeats)
-	fmt.Fprintf(w, "%-24s %8s %10s %8s %9s %9s %8s %8s %10s %10s %5s\n",
-		"program", "workers", "wall", "speedup", "steps", "tasks", "steals", "parks", "intern-cd", "loc-cd", "ok")
+	fmt.Fprintf(w, "%-24s %8s %10s %8s %9s %9s %8s %8s %10s %5s\n",
+		"program", "workers", "wall", "speedup", "steps", "tasks", "steals", "parks", "loc-cd", "ok")
 	for _, p := range r.Programs {
 		for _, pt := range p.Points {
-			fmt.Fprintf(w, "%-24s %8d %8.1fms %7.2fx %9d %9d %8d %8d %10d %10d %5v\n",
+			fmt.Fprintf(w, "%-24s %8d %8.1fms %7.2fx %9d %9d %8d %8d %10d %5v\n",
 				p.Name, pt.Workers, pt.WallMS, pt.Speedup, pt.Steps,
 				pt.SchedTasks, pt.SchedSteals, pt.SchedParks,
-				pt.InternContended, pt.LocContended, pt.Identical)
+				pt.LocContended, pt.Identical)
 		}
 	}
 }

@@ -511,20 +511,17 @@ func (a *analyzer) processCallNode(n *invgraph.Node, funcInput ptset.Set, tk obs
 		return ptset.NewBottom()
 	}
 
-	// Input-keyed memoization: the summary cache maps every hash-consed
-	// mapped input this node has been evaluated under to its hash-consed
-	// output, generalizing Figure 4's single stored IN/OUT pair. The node is
-	// only ever processed by the goroutine that owns its subtree, so the map
-	// needs no lock; the intern table itself is shared and synchronized.
-	// (Hand-built shell analyzers carry no intern table; they run unmemoized.)
-	var memoKey *ptset.Interned
-	if !a.opts.NoMemo && a.intern != nil {
-		memoKey = a.intern.Intern(funcInput)
-		if out, ok := n.Memo[memoKey]; ok {
+	// Input-keyed memoization: the node keeps a summary for every mapped
+	// input it has been evaluated under, generalizing Figure 4's single
+	// stored IN/OUT pair, and a lookup compares inputs by structure. The
+	// node is only ever processed by the goroutine that owns its subtree,
+	// so its list needs no lock.
+	if !a.opts.NoMemo {
+		if out, ok := invgraph.FindSummary(n.Memo, funcInput); ok {
 			a.m.MemoHits.Inc()
 			a.m.Func(n.Fn.Name()).MemoHits.Inc()
 			a.tracer.Instant(tk, obsv.CatNode, "memo-hit", n.Fn.Name())
-			return out.AsSet()
+			return out
 		}
 		a.m.MemoMisses.Inc()
 	}
@@ -534,15 +531,13 @@ func (a *analyzer) processCallNode(n *invgraph.Node, funcInput ptset.Set, tk obs
 	// the graph, can be reused — the callee-side result depends only on
 	// the mapped input, not on which caller produced it.
 	if a.shared != nil {
-		for _, sum := range a.shared[n.Fn] {
-			if ptset.Equal(sum.in, funcInput) {
-				a.m.SharedHits.Inc()
-				n.StoredInput = funcInput
-				n.HasInput = true
-				n.StoredOutput = sum.out
-				n.HasResult = true
-				return sum.out
-			}
+		if out, ok := invgraph.FindSummary(a.shared[n.Fn], funcInput); ok {
+			a.m.SharedHits.Inc()
+			n.StoredInput = funcInput
+			n.HasInput = true
+			n.StoredOutput = out
+			n.HasResult = true
+			return out
 		}
 	}
 
@@ -597,14 +592,12 @@ func (a *analyzer) processCallNode(n *invgraph.Node, funcInput ptset.Set, tk obs
 	}
 	n.StoredInput = funcInput // reset to the initial input for memoization
 	n.HasResult = true
-	if memoKey != nil {
-		if n.Memo == nil {
-			n.Memo = make(map[*ptset.Interned]*ptset.Interned)
-		}
-		n.Memo[memoKey] = a.intern.Intern(n.StoredOutput)
+	sum := invgraph.Summary{In: funcInput, Out: n.StoredOutput}
+	if !a.opts.NoMemo {
+		n.Memo = append(n.Memo, sum)
 	}
 	if a.shared != nil {
-		a.shared[n.Fn] = append(a.shared[n.Fn], sharedSummary{in: funcInput, out: n.StoredOutput})
+		a.shared[n.Fn] = append(a.shared[n.Fn], sum)
 	}
 	fc.AddWall(time.Since(evalStart))
 	nodeSpan.End()

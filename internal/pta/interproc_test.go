@@ -191,7 +191,9 @@ int main() {
 
 // Memoization is per invocation-graph node: the paper's win is that a loop
 // fixed point re-reaching a call with an unchanged input reuses the stored
-// IN/OUT pair instead of re-analyzing the body.
+// IN/OUT pair instead of re-analyzing the body. Each call maps a fresh input
+// set, so this also guards that lookups compare inputs by structure: a
+// lookup by identity would never hit.
 func TestMemoizationReusesResults(t *testing.T) {
 	src := `
 int g;
@@ -215,10 +217,14 @@ int main() {
 	}
 }
 
-// The stored input/output on invocation graph nodes must be a fixed point:
-// re-running the body on the stored input yields a subset of the stored
-// output (DESIGN.md invariant).
+// The summaries stored on invocation graph nodes must be fixed points:
+// re-running the body on a stored input yields a subset of the stored
+// output (DESIGN.md invariant). Every memo entry is checked, not only the
+// node's last stored pair. An entry shares its sets with the node and with
+// the callers it answered, so a caller that mutated a returned output would
+// corrupt the entry, and its recomputed triples would go missing from it.
 func TestStoredSummariesAreFixedPoints(t *testing.T) {
+	multi := false
 	for _, src := range []string{
 		`
 int a, b;
@@ -248,11 +254,35 @@ int main() {
 	return 0;
 }
 `,
+		// flip's node is evaluated under two inputs before the inner loop
+		// converges, so its memo list holds two entries; the outer loop's
+		// second pass answers from the second.
+		`
+int a, b;
+int *q;
+void flip(void) {
+	if (q == &a) q = &b;
+	else q = &a;
+}
+int main() {
+	int j, k;
+	q = &a;
+	for (j = 0; j < 2; j++)
+		for (k = 0; k < 3; k++)
+			flip();
+	return 0;
+}
+`,
 	} {
 		res := analyzeSrc(t, src)
+		// The recomputation re-evaluates callees instead of answering from
+		// their memo lists, so it checks each summary against its whole
+		// subtree and leaves the lists as the run stored them.
+		opts := res.Opts
+		opts.NoMemo = true
 		a := &analyzer{
 			prog: res.Prog, tab: res.Table, g: res.Graph,
-			opts: res.Opts, ann: NewAnnotations(), limit: 1 << 30,
+			opts: opts, ann: NewAnnotations(), limit: 1 << 30,
 			m: obsv.NewMetrics(),
 		}
 		a.stepCeil.Store(a.limit)
@@ -260,20 +290,28 @@ int main() {
 			if !n.HasResult || n.Kind == invgraph.Approximate {
 				return
 			}
-			out := a.analyzeBody(n, 0)
-			if out.IsBottom() {
-				return
-			}
-			// Strip callee-local noise: just require that every triple of
-			// the recomputed output over visible locations appears in the
-			// stored output.
-			for _, tr := range out.Triples() {
-				if _, ok := n.StoredOutput.Lookup(tr.Src, tr.Dst); !ok {
-					t.Errorf("%s: recomputed output has (%s,%s) missing from stored output",
-						n.Fn.Name(), tr.Src.Name(), tr.Dst.Name())
+			multi = multi || len(n.Memo) > 1
+			sums := append([]invgraph.Summary{{In: n.StoredInput, Out: n.StoredOutput}}, n.Memo...)
+			for i, sum := range sums {
+				n.StoredInput, n.StoredOutput = sum.In, sum.Out
+				out := a.analyzeBody(n, 0)
+				if out.IsBottom() {
+					continue
+				}
+				// Strip callee-local noise: just require that every triple
+				// of the recomputed output over visible locations appears
+				// in the stored output.
+				for _, tr := range out.Triples() {
+					if _, ok := sum.Out.Lookup(tr.Src, tr.Dst); !ok {
+						t.Errorf("%s summary %d of %d: recomputed output has (%s,%s) missing from stored output",
+							n.Fn.Name(), i, len(sums), tr.Src.Name(), tr.Dst.Name())
+					}
 				}
 			}
 		})
+	}
+	if !multi {
+		t.Error("no node stored more than one memo entry")
 	}
 }
 

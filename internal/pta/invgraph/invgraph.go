@@ -69,19 +69,39 @@ type Node struct {
 	StoredOutput ptset.Set
 	Pending      []ptset.Set
 
-	// Memo is the input-keyed summary cache: the hash-consed mapped input
-	// of every completed evaluation of this node maps to its hash-consed
-	// output, generalizing the paper's single stored IN/OUT pair to all
-	// inputs ever seen, so repeated invocations under equal contexts reuse
-	// the stored output without re-walking the body. It is owned by the
+	// Memo is the input-keyed summary cache: one Summary per completed
+	// evaluation of this node, each with a distinct mapped input,
+	// generalizing the paper's single stored IN/OUT pair to all inputs
+	// ever seen, so repeated invocations under equal contexts reuse the
+	// stored output without re-walking the body. It is owned by the
 	// analysis goroutine processing this node (invocation subtrees are
 	// disjoint), so no locking is needed.
-	Memo map[*ptset.Interned]*ptset.Interned
+	Memo []Summary
 
 	// MapInfo records the context-sensitive association between symbolic
 	// names and the invisible variables they represent for this
 	// invocation. It is owned by the analysis (package pta).
 	MapInfo any
+}
+
+// Summary is one completed evaluation of a function: the mapped input In
+// produced the output Out. A stored set is never mutated: the analysis
+// only reads the output it hands back to a caller and clones an input
+// before walking a body, so a summary can share the very sets the node
+// holds.
+type Summary struct {
+	In, Out ptset.Set
+}
+
+// FindSummary returns the output of the summary whose input equals in by
+// structure.
+func FindSummary(sums []Summary, in ptset.Set) (ptset.Set, bool) {
+	for _, s := range sums {
+		if ptset.Equal(s.In, in) {
+			return s.Out, true
+		}
+	}
+	return ptset.Set{}, false
 }
 
 // Graph is the invocation graph of a program. Dynamic growth during the

@@ -125,51 +125,22 @@ func (l *Location) initSortKey() {
 // ---------------------------------------------------------------------------
 // Table
 
-// DefaultTableShards is the shard count of NewTable. Like the points-to set
-// interner, the location table is touched by every worker on nearly every
-// statement; a single table mutex serializes the parallel analysis, so the
-// key maps are split into independently locked shards selected by a hash of
-// the deterministic key string.
-const DefaultTableShards = 16
-
-// locShard is one independently locked slice of the table's key maps.
-type locShard struct {
-	mu    sync.RWMutex
-	vars  map[varKey]*Location
-	syms  map[symKey]*Location
-	funcs map[*ast.Object]*Location
-
-	contended atomic.Uint64 // lock acquisitions that had to wait
-	_         [24]byte      // keep neighbouring shards off one cache line
-}
-
-func (s *locShard) lock() {
-	if !s.mu.TryLock() {
-		s.contended.Add(1)
-		s.mu.Lock()
-	}
-}
-
-func (s *locShard) rlock() {
-	if !s.mu.TryRLock() {
-		s.contended.Add(1)
-		s.mu.RLock()
-	}
-}
-
 // Table interns all locations of one program analysis. It is safe for
 // concurrent use: the parallel analysis workers intern locations through a
 // shared table, and interning is idempotent (one canonical *Location per
-// key, so pointer equality remains identity). The key maps are sharded by a
-// hash of the key so concurrent workers interning unrelated locations do not
-// serialize on one mutex; shard choice is invisible to clients.
+// key, so pointer equality remains identity). One read-write mutex guards
+// the three key maps; lock acquisitions that had to wait are counted.
 type Table struct {
-	shards []*locShard
-	mask   uint64
-	heap   *Location
-	null   *Location
-	str    *Location
-	freed  *Location
+	mu        sync.RWMutex
+	vars      map[varKey]*Location
+	syms      map[symKey]*Location
+	funcs     map[*ast.Object]*Location
+	contended atomic.Uint64
+
+	heap  *Location
+	null  *Location
+	str   *Location
+	freed *Location
 
 	// owners maps each local and parameter to its function. It is filled
 	// by the constructor and only read afterwards, so it needs no lock.
@@ -187,29 +158,14 @@ type symKey struct {
 	path string
 }
 
-// NewTable returns an empty location table with DefaultTableShards shards,
-// registering ownership of locals and parameters for the given program.
-func NewTable(prog *simple.Program) *Table { return NewTableSharded(prog, DefaultTableShards) }
-
-// NewTableSharded returns an empty location table with the given shard
-// count, rounded up to a power of two (minimum 1). The 1-shard table is the
-// pre-sharding behavior: one mutex guarding every map.
-func NewTableSharded(prog *simple.Program, shards int) *Table {
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
+// NewTable returns an empty location table, registering ownership of locals
+// and parameters for the given program.
+func NewTable(prog *simple.Program) *Table {
 	t := &Table{
-		shards: make([]*locShard, n),
-		mask:   uint64(n - 1),
+		vars:   make(map[varKey]*Location),
+		syms:   make(map[symKey]*Location),
+		funcs:  make(map[*ast.Object]*Location),
 		owners: make(map[*ast.Object]*simple.Function),
-	}
-	for i := range t.shards {
-		t.shards[i] = &locShard{
-			vars:  make(map[varKey]*Location),
-			syms:  make(map[symKey]*Location),
-			funcs: make(map[*ast.Object]*Location),
-		}
 	}
 	t.heap = &Location{Kind: Heap, name: "heap", multi: true}
 	t.null = &Location{Kind: Null, name: "NULL"}
@@ -235,46 +191,36 @@ func NewTableSharded(prog *simple.Program, shards int) *Table {
 	return t
 }
 
-// hashKey is FNV-1a over a key string, folded so the masked low bits mix in
-// the high half. Shard choice must be deterministic but has no semantic
-// weight: two objects sharing a name land in one shard, which only affects
-// load distribution.
-func hashKey(parts ...string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, p := range parts {
-		for i := 0; i < len(p); i++ {
-			h ^= uint64(p[i])
-			h *= prime64
-		}
-		h ^= 0xff
-		h *= prime64
+// lock acquires the write lock, counting an acquisition that had to wait.
+func (t *Table) lock() {
+	if !t.mu.TryLock() {
+		t.contended.Add(1)
+		t.mu.Lock()
 	}
-	return h ^ h>>32
 }
 
-func (t *Table) shard(h uint64) *locShard { return t.shards[h&t.mask] }
+// rlock acquires the read lock, counting an acquisition that had to wait.
+func (t *Table) rlock() {
+	if !t.mu.TryRLock() {
+		t.contended.Add(1)
+		t.mu.RLock()
+	}
+}
 
-// TableStats reports sharding activity of the table.
+// TableStats reports the size and lock contention of the table.
 type TableStats struct {
-	Shards    int    // shard count
 	Locations int    // distinct interned locations (vars + syms + funcs)
-	Contended uint64 // shard-lock acquisitions that had to wait
+	Contended uint64 // lock acquisitions that had to wait
 }
 
-// Stats returns a snapshot of the table's shard counters.
+// Stats returns a snapshot of the table's counters.
 func (t *Table) Stats() TableStats {
-	st := TableStats{Shards: len(t.shards)}
-	for _, sh := range t.shards {
-		sh.mu.RLock()
-		st.Locations += len(sh.vars) + len(sh.syms) + len(sh.funcs)
-		sh.mu.RUnlock()
-		st.Contended += sh.contended.Load()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return TableStats{
+		Locations: len(t.vars) + len(t.syms) + len(t.funcs),
+		Contended: t.contended.Load(),
 	}
-	return st
 }
 
 // HeapLoc returns the single heap location.
@@ -296,21 +242,20 @@ func (t *Table) FreedLoc() *Location { return t.freed }
 // FuncLoc returns the location standing for a function (the target of
 // function pointers).
 func (t *Table) FuncLoc(obj *ast.Object) *Location {
-	sh := t.shard(hashKey(obj.Name))
-	sh.rlock()
-	l, ok := sh.funcs[obj]
-	sh.mu.RUnlock()
+	t.rlock()
+	l, ok := t.funcs[obj]
+	t.mu.RUnlock()
 	if ok {
 		return l
 	}
-	sh.lock()
-	defer sh.mu.Unlock()
-	if l, ok := sh.funcs[obj]; ok {
+	t.lock()
+	defer t.mu.Unlock()
+	if l, ok := t.funcs[obj]; ok {
 		return l
 	}
 	l = &Location{Kind: Func, Obj: obj, name: obj.Name, typ: obj.Type}
 	l.initSortKey()
-	sh.funcs[obj] = l
+	t.funcs[obj] = l
 	return l
 }
 
@@ -325,16 +270,15 @@ func pathString(path []Elem) string {
 // VarLoc returns the location for a variable plus selector path.
 func (t *Table) VarLoc(obj *ast.Object, path []Elem) *Location {
 	key := varKey{obj: obj, path: pathString(path)}
-	sh := t.shard(hashKey(obj.Name, key.path))
-	sh.rlock()
-	l, ok := sh.vars[key]
-	sh.mu.RUnlock()
+	t.rlock()
+	l, ok := t.vars[key]
+	t.mu.RUnlock()
 	if ok {
 		return l
 	}
-	sh.lock()
-	defer sh.mu.Unlock()
-	if l, ok := sh.vars[key]; ok {
+	t.lock()
+	defer t.mu.Unlock()
+	if l, ok := t.vars[key]; ok {
 		return l
 	}
 	l = &Location{
@@ -355,7 +299,7 @@ func (t *Table) VarLoc(obj *ast.Object, path []Elem) *Location {
 		}
 	}
 	l.initSortKey()
-	sh.vars[key] = l
+	t.vars[key] = l
 	return l
 }
 
@@ -363,20 +307,15 @@ func (t *Table) VarLoc(obj *ast.Object, path []Elem) *Location {
 // scoped to fn.
 func (t *Table) SymLoc(fn *simple.Function, sym string, path []Elem, typ *types.Type) *Location {
 	key := symKey{fn: fn, sym: sym, path: pathString(path)}
-	fnName := ""
-	if fn != nil {
-		fnName = fn.Name()
-	}
-	sh := t.shard(hashKey(fnName, sym, key.path))
-	sh.rlock()
-	l, ok := sh.syms[key]
-	sh.mu.RUnlock()
+	t.rlock()
+	l, ok := t.syms[key]
+	t.mu.RUnlock()
 	if ok {
 		return l
 	}
-	sh.lock()
-	defer sh.mu.Unlock()
-	if l, ok := sh.syms[key]; ok {
+	t.lock()
+	defer t.mu.Unlock()
+	if l, ok := t.syms[key]; ok {
 		return l
 	}
 	l = &Location{
@@ -397,7 +336,7 @@ func (t *Table) SymLoc(fn *simple.Function, sym string, path []Elem, typ *types.
 		}
 	}
 	l.initSortKey()
-	sh.syms[key] = l
+	t.syms[key] = l
 	return l
 }
 
@@ -477,14 +416,12 @@ func typeAt(t *types.Type, path []Elem) *types.Type {
 // fn (Table 2 counts them among the function's abstract stack variables).
 func (t *Table) SymCount(fn *simple.Function) int {
 	names := make(map[string]bool)
-	for _, sh := range t.shards {
-		sh.mu.RLock()
-		for k := range sh.syms {
-			if k.fn == fn && k.path == "" {
-				names[k.sym] = true
-			}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for k := range t.syms {
+		if k.fn == fn && k.path == "" {
+			names[k.sym] = true
 		}
-		sh.mu.RUnlock()
 	}
 	return len(names)
 }

@@ -8,9 +8,9 @@ import (
 // targets of an indirect call site (disjoint children of one invocation-
 // graph node, plus pthread entry points) and the branches of an if
 // statement (disjoint statement subtrees fed the same read-only input set).
-// Everything the subtrees share — the location table, the intern table, the
-// invocation graph, annotations, recursion pending lists, diagnostics — is
-// internally synchronized; all merges of subtree results happen in
+// Everything the subtrees share — the location table, the invocation graph,
+// annotations, recursion pending lists, diagnostics — is internally
+// synchronized; all merges of subtree results happen in
 // deterministic index order, so the analysis is bit-identical for every
 // worker count. The scheduling itself is the work-stealing fork-join in
 // schedule.go.

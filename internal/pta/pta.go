@@ -58,7 +58,7 @@ type Options struct {
 	// ContextInsensitive merges the inputs from all call sites of a
 	// function and analyzes each function against the merged input — the
 	// context-sensitivity ablation (one summary per function instead of
-	// one per invocation path). Implemented in package baseline.
+	// one per invocation path). Implemented in ci.go.
 	ContextInsensitive bool
 
 	// ShareContexts enables the optimization the paper proposes as future
@@ -158,10 +158,10 @@ type Result struct {
 	Diags []string
 
 	// Metrics is the full metrics snapshot of the run: counters (steps,
-	// memo and shared-summary hits, interning, map/unmap, fixed-point
-	// activity), the points-to set cardinality histogram, and the
-	// per-function cost table. Serial and parallel runs report through
-	// this one registry.
+	// memo and shared-summary hits, map/unmap, fixed-point activity,
+	// location-table contention), the points-to set cardinality histogram,
+	// and the per-function cost table. Serial and parallel runs report
+	// through this one registry.
 	Metrics *obsv.MetricsSnapshot
 
 	// Workers is the effective worker-pool size the analysis ran with.
@@ -188,7 +188,6 @@ func Analyze(prog *simple.Program, opts Options) (*Result, error) {
 		g:      g,
 		opts:   opts,
 		ann:    NewAnnotations(),
-		intern: ptset.NewInterner(),
 		m:      m,
 		tracer: opts.Tracer,
 		limit:  int64(opts.MaxSteps),
@@ -207,7 +206,7 @@ func Analyze(prog *simple.Program, opts Options) (*Result, error) {
 		})
 	}
 	if opts.ShareContexts {
-		a.shared = make(map[*simple.Function][]sharedSummary)
+		a.shared = make(map[*simple.Function][]invgraph.Summary)
 	}
 	if opts.Flight != nil {
 		// The recorder returns the tracer the run must emit into: the full
@@ -240,18 +239,10 @@ func Analyze(prog *simple.Program, opts Options) (*Result, error) {
 	res.Workers = a.workers
 
 	// Snapshot the metrics registry and fill in the parts it cannot see:
-	// hash-consing activity and trace ring accounting. Every caller —
+	// location-table contention and trace ring accounting. Every caller —
 	// serial or parallel — reports through the one registry.
 	snap := a.m.Snapshot()
-	ist := a.intern.Stats()
-	snap.InternDistinct = ist.Distinct
-	snap.InternHits, snap.InternMisses = ist.Hits, ist.Misses
-	if lookups := ist.Hits + ist.Misses; lookups > 0 {
-		snap.InternHitRate = float64(ist.Hits) / float64(lookups)
-	}
-	snap.InternShards, snap.InternContended = ist.Shards, ist.Contended
-	tst := a.tab.Stats()
-	snap.LocShards, snap.LocContended = tst.Shards, tst.Contended
+	snap.LocContended = a.tab.Stats().Contended
 	if a.tracer.Enabled() {
 		snap.TraceEmitted = a.tracer.Emitted()
 		snap.TraceDropped = a.tracer.Dropped()
@@ -279,7 +270,6 @@ type analyzer struct {
 	g       *invgraph.Graph
 	opts    Options
 	ann     *Annotations
-	intern  *ptset.Interner
 	live    *live.Info // demand mode: pruning oracle (nil when exhaustive)
 	diags   []string
 	diagMu  sync.Mutex
@@ -317,12 +307,7 @@ type analyzer struct {
 
 	// shared caches completed (input, output) summaries per function when
 	// Options.ShareContexts is set.
-	shared map[*simple.Function][]sharedSummary
-}
-
-// sharedSummary is one cached function summary.
-type sharedSummary struct {
-	in, out ptset.Set
+	shared map[*simple.Function][]invgraph.Summary
 }
 
 func (a *analyzer) diagf(format string, args ...any) {

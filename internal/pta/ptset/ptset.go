@@ -51,16 +51,9 @@ func (t Triple) String() string {
 //
 // Invariant: a set holds at most one triple per (src, dst) edge; inserting
 // both D and P for the same edge weakens it to P.
-//
-// A set can be frozen (see Interner): frozen sets share storage with the
-// intern table and panic on mutation; Clone yields a mutable copy.
 type Set struct {
 	m      map[Edge]Def
 	bottom bool
-	frozen bool
-	// interned points back to the canonical interned form when this set is
-	// a frozen view of one, making re-interning O(1).
-	interned *Interned
 }
 
 // New returns an empty set.
@@ -81,9 +74,6 @@ func (s Set) Len() int { return len(s.m) }
 func (s Set) Insert(src, dst *loc.Location, d Def) {
 	if s.bottom {
 		panic("ptset: insert into BOTTOM")
-	}
-	if s.frozen {
-		panic("ptset: insert into frozen set")
 	}
 	e := Edge{src, dst}
 	if old, ok := s.m[e]; ok {
@@ -139,9 +129,6 @@ func (s Set) Remove(src, dst *loc.Location) {
 	if s.bottom {
 		return
 	}
-	if s.frozen {
-		panic("ptset: remove from frozen set")
-	}
 	delete(s.m, Edge{src, dst})
 }
 
@@ -149,9 +136,6 @@ func (s Set) Remove(src, dst *loc.Location) {
 func (s Set) Kill(src *loc.Location) {
 	if s.bottom {
 		return
-	}
-	if s.frozen {
-		panic("ptset: kill in frozen set")
 	}
 	for e := range s.m {
 		if e.Src == src {
@@ -165,18 +149,12 @@ func (s Set) Weaken(src *loc.Location) {
 	if s.bottom {
 		return
 	}
-	if s.frozen {
-		panic("ptset: weaken in frozen set")
-	}
 	for e, d := range s.m {
 		if e.Src == src && d == D {
 			s.m[e] = P
 		}
 	}
 }
-
-// Frozen reports whether the set is an immutable interned view.
-func (s Set) Frozen() bool { return s.frozen }
 
 // Clone returns a deep, mutable copy.
 func (s Set) Clone() Set {
@@ -226,14 +204,11 @@ func Merge(a, b Set) Set {
 }
 
 // Join merges o into s in place, leaving s equal to Merge(s, o) without
-// copying s. BOTTOM o is the identity; joining into a BOTTOM or frozen s
-// panics, because neither can change in place.
+// copying s. BOTTOM o is the identity; joining into a BOTTOM s panics,
+// because BOTTOM cannot change in place.
 func (s Set) Join(o Set) {
 	if s.bottom {
 		panic("ptset: join into BOTTOM")
-	}
-	if s.frozen {
-		panic("ptset: join into frozen set")
 	}
 	if o.bottom {
 		return
@@ -278,9 +253,6 @@ func MergeAll(sets ...Set) Set {
 //
 // BOTTOM is a subset of everything.
 func Subset(a, b Set) bool {
-	if a.interned != nil && a.interned == b.interned {
-		return true // identical interned sets
-	}
 	if a.bottom {
 		return true
 	}
@@ -299,17 +271,8 @@ func Subset(a, b Set) bool {
 	return true
 }
 
-// Equal reports structural equality. Views of the same intern table compare
-// by pointer.
+// Equal reports structural equality.
 func Equal(a, b Set) bool {
-	if a.interned != nil && b.interned != nil {
-		if a.interned == b.interned {
-			return true
-		}
-		if a.interned.owner == b.interned.owner {
-			return false // same table, different canonical sets
-		}
-	}
 	if a.bottom || b.bottom {
 		return a.bottom == b.bottom
 	}

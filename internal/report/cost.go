@@ -31,9 +31,8 @@ func WriteCostTable(w io.Writer, funcs []obsv.FuncCostSnapshot, limit int) {
 }
 
 // WriteMetrics renders a full metrics snapshot in human-readable form: the
-// engine counters, the memoization and hash-consing rates, the points-to set
-// cardinality distribution, trace-buffer accounting, and the per-function
-// cost table.
+// engine counters, the memoization rate, the points-to set cardinality
+// distribution, trace-buffer accounting, and the per-function cost table.
 func WriteMetrics(w io.Writer, s *obsv.MetricsSnapshot) {
 	if s == nil {
 		fmt.Fprintln(w, "metrics: (none recorded)")
@@ -50,8 +49,6 @@ func WriteMetrics(w io.Writer, s *obsv.MetricsSnapshot) {
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "  fixed point: %d extra iterations, %d pending restarts\n",
 		s.FixpointIters, s.PendingRestarts)
-	fmt.Fprintf(w, "  interning: %d distinct sets, %.1f%% hit rate\n",
-		s.InternDistinct, 100*s.InternHitRate)
 	c := s.Cardinality
 	fmt.Fprintf(w, "  set cardinality: mean %.1f, p50 %d, p90 %d, p99 %d, max %d (peak %d)\n",
 		c.Mean, c.P50, c.P90, c.P99, c.Max, s.PeakSet)
