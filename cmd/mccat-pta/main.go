@@ -300,8 +300,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 			m.MemoHits, m.MemoMisses, 100*m.MemoHitRate)
 		fmt.Fprintf(stdout, "set cardinality: p50 %d, p90 %d, max %d\n",
 			m.Cardinality.P50, m.Cardinality.P90, m.Cardinality.Max)
-		fmt.Fprintf(stdout, "sched: %d tasks, %d steals, %d parks\n",
-			m.SchedTasks, m.SchedSteals, m.SchedParks)
+		fmt.Fprintf(stdout, "sched: %d tasks, %d steals\n", m.SchedTasks, m.SchedSteals)
 		fmt.Fprintf(stdout, "locks: loc %d contended\n", m.LocContended)
 		if m.TraceDropped > 0 {
 			fmt.Fprintf(stdout, "trace: %d events dropped by ring overflow (raise -trace-buf)\n", m.TraceDropped)

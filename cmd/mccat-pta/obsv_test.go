@@ -42,7 +42,7 @@ func TestStatsIncludesSchedAndShards(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr: %s", code, stderr)
 	}
-	for _, want := range []string{"sched: ", " tasks, ", " steals, ", " parks",
+	for _, want := range []string{"sched: ", " tasks, ", " steals\n",
 		"locks: loc ", " contended"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-stats output missing %q:\n%s", want, out)

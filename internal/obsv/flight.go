@@ -183,10 +183,10 @@ func (f *FlightRecorder) Dump(w io.Writer, cause string) error {
 		return err
 	}
 	fmt.Fprintf(w, "elapsed: %s\n", time.Since(bound).Round(time.Millisecond))
-	fmt.Fprintf(w, "counters: steps=%d node_evals=%d memo=%d/%d fixpoint_iters=%d pending_restarts=%d sched=%d/%d/%d peak_set=%d\n",
+	fmt.Fprintf(w, "counters: steps=%d node_evals=%d memo=%d/%d fixpoint_iters=%d pending_restarts=%d sched=%d/%d peak_set=%d\n",
 		m.Steps.Load(), m.NodeEvals.Load(), m.MemoHits.Load(), m.MemoMisses.Load(),
 		m.FixpointIters.Load(), m.PendingRestarts.Load(),
-		m.SchedTasks.Load(), m.SchedSteals.Load(), m.SchedParks.Load(), m.PeakSet.Load())
+		m.SchedTasks.Load(), m.SchedSteals.Load(), m.PeakSet.Load())
 
 	if len(samples) > 0 {
 		fmt.Fprintf(w, "progress samples (every %s, %d taken, last %d kept):\n",

@@ -201,14 +201,16 @@ type Metrics struct {
 	// PendingRestarts counts pending-list generalization restarts of
 	// recursive fixed points (input widened, evaluation restarted).
 	PendingRestarts Counter
-	// SchedTasks counts tasks submitted to the work-stealing scheduler
-	// (fan-out branches of indirect calls, if/else splits, thread spawns).
+	// SchedTasks counts the branches of every parallel fan-out (indirect
+	// call targets, if/else splits, thread spawns) of a run with more than
+	// one worker.
 	SchedTasks Counter
-	// SchedSteals counts tasks a worker stole from another worker's deque.
+	// SchedSteals counts fan-out branches that ran on a spare worker track,
+	// that is, on a goroutine other than the one that forked them.
 	SchedSteals Counter
-	// SchedParks counts times a worker or joiner went idle because no task
-	// was runnable anywhere (parked on the scheduler's condition variable).
-	SchedParks Counter
+	// LocContended counts location-table lock acquisitions that had to
+	// wait; the analysis adds the table's count when the run ends.
+	LocContended Counter
 	// PeakSet is the largest points-to set flowing into any statement.
 	// The analysis hot path does not update it directly — Cardinality's
 	// internal maximum covers it — but it remains for observations that
@@ -260,8 +262,8 @@ func (m *Metrics) Func(name string) *FuncCost {
 // fresh registry (isolation), and its end-of-run snapshot is added here.
 // Counters add, the peak gauge takes the maximum, the cardinality histogram
 // merges bucket-exact, and the per-function cost table accumulates by name.
-// Snapshot-only fields the registry has no instrument for (location-table
-// and trace accounting) are not aggregated. Safe for concurrent use.
+// Snapshot-only fields the registry has no instrument for (trace
+// accounting) are not aggregated. Safe for concurrent use.
 func (m *Metrics) Merge(s *MetricsSnapshot) {
 	if s == nil {
 		return
@@ -277,7 +279,7 @@ func (m *Metrics) Merge(s *MetricsSnapshot) {
 	m.PendingRestarts.Add(s.PendingRestarts)
 	m.SchedTasks.Add(s.SchedTasks)
 	m.SchedSteals.Add(s.SchedSteals)
-	m.SchedParks.Add(s.SchedParks)
+	m.LocContended.Add(s.LocContended)
 	m.PeakSet.Observe(s.PeakSet)
 	m.Cardinality.Merge(s.Cardinality)
 	m.DemandFactsKept.Add(s.DemandFactsKept)
@@ -293,9 +295,8 @@ func (m *Metrics) Merge(s *MetricsSnapshot) {
 }
 
 // MetricsSnapshot is the exported, JSON-serializable view of a registry,
-// stored as pta.Result.Metrics. The location-table and trace fields are
-// filled by the analysis from the table and tracer, which this package does
-// not depend on.
+// stored as pta.Result.Metrics. The trace fields are filled by the
+// analysis from the tracer.
 type MetricsSnapshot struct {
 	Steps           int64 `json:"steps"`
 	MemoHits        int64 `json:"memo_hits"`
@@ -311,14 +312,21 @@ type MetricsSnapshot struct {
 	// MemoHitRate is MemoHits / (MemoHits + MemoMisses), 0 when cold.
 	MemoHitRate float64 `json:"memo_hit_rate"`
 
-	// Work-stealing scheduler activity (zero in serial runs).
+	// Parallel fan-out activity (zero in serial runs): branches forked,
+	// and branches that ran on a spare worker track.
 	SchedTasks  int64 `json:"sched_tasks,omitempty"`
 	SchedSteals int64 `json:"sched_steals,omitempty"`
-	SchedParks  int64 `json:"sched_parks,omitempty"`
 
 	// LocContended counts location-table lock acquisitions that had to
-	// wait (filled by the analysis).
-	LocContended uint64 `json:"loc_contended,omitempty"`
+	// wait.
+	LocContended int64 `json:"loc_contended,omitempty"`
+
+	// SchedParks counted idle parks of the work-stealing scheduler, which
+	// is gone. It is never filled and never serialized, and remains only
+	// so existing readers keep compiling.
+	//
+	// Deprecated: always zero.
+	SchedParks int64 `json:"-"`
 
 	// The Intern* fields described the points-to set intern table, which
 	// is gone. They are never filled and never serialized, and remain only
@@ -375,7 +383,7 @@ func (m *Metrics) Snapshot() *MetricsSnapshot {
 		PendingRestarts: m.PendingRestarts.Load(),
 		SchedTasks:      m.SchedTasks.Load(),
 		SchedSteals:     m.SchedSteals.Load(),
-		SchedParks:      m.SchedParks.Load(),
+		LocContended:    m.LocContended.Load(),
 		PeakSet:         m.PeakSet.Load(),
 		Cardinality:     m.Cardinality.Snapshot(),
 		DemandFactsKept: m.DemandFactsKept.Load(),

@@ -3,9 +3,10 @@
 //
 // The trace recorder collects hierarchical spans — invocation-graph node
 // evaluations, map/unmap operations, basic-statement transfers, fixed-point
-// iterations, worker-pool scheduling — into bounded lock-free ring buffers
-// (one shard per worker track), so emission never blocks an analysis worker
-// and overflow drops the oldest spans rather than growing without bound.
+// iterations, fan-out branches run on spare workers — into bounded
+// lock-free ring buffers (one shard per worker track), so emission never
+// blocks an analysis worker and overflow drops the oldest spans rather than
+// growing without bound.
 // With tracing disabled (a nil *Tracer) every hook reduces to a nil check.
 //
 // The metrics registry is a set of typed, atomically-updated instruments
@@ -26,9 +27,10 @@ package obsv
 import "strconv"
 
 // Track identifies one logical execution lane of the analysis: track 0 is
-// the goroutine that called Analyze, and every goroutine the worker pool
-// spawns gets a fresh track. Spans on one track are properly nested, so
-// trace viewers can render each track as a timeline row.
+// the goroutine that called Analyze, and a run with W workers owns W-1
+// spare tracks that fan-out branch goroutines take and hand back. Only one
+// goroutine holds a track at a time, so spans on one track are properly
+// nested and trace viewers can render each track as a timeline row.
 type Track int32
 
 // Cat classifies trace events by the engine operation they measure.
@@ -53,9 +55,9 @@ const (
 	// CatFixpoint is one iteration of a recursion fixed point, or an
 	// instant event for a pending-list generalization restart.
 	CatFixpoint
-	// CatWorker is worker-pool scheduling: a span per spawned pool task
-	// and instant events when the pool is exhausted and a task runs
-	// inline on the caller.
+	// CatWorker is parallel fan-out: a "task" span per branch that runs
+	// on a spare worker track. Branches the forking goroutine runs inline
+	// emit none.
 	CatWorker
 )
 

@@ -57,13 +57,11 @@ var promMetrics = []promMetric{
 		func(s *MetricsSnapshot) float64 { return float64(s.FixpointIters) }, false},
 	{"pta_pending_restarts_total", "counter", "Pending-list generalization restarts of recursive fixed points.",
 		func(s *MetricsSnapshot) float64 { return float64(s.PendingRestarts) }, false},
-	{"pta_sched_tasks_total", "counter", "Tasks submitted to the work-stealing scheduler.",
+	{"pta_sched_tasks_total", "counter", "Branches of parallel fan-outs at more than one worker.",
 		func(s *MetricsSnapshot) float64 { return float64(s.SchedTasks) }, false},
-	{"pta_sched_steals_total", "counter", "Tasks stolen from another worker's deque.",
+	{"pta_sched_steals_total", "counter", "Fan-out branches that ran on a spare worker track.",
 		func(s *MetricsSnapshot) float64 { return float64(s.SchedSteals) }, false},
-	{"pta_sched_parks_total", "counter", "Times a worker parked with no runnable task anywhere.",
-		func(s *MetricsSnapshot) float64 { return float64(s.SchedParks) }, false},
-	{"pta_loc_contended_total", "counter", "Location-table shard lock acquisitions that had to wait.",
+	{"pta_loc_contended_total", "counter", "Location-table lock acquisitions that had to wait.",
 		func(s *MetricsSnapshot) float64 { return float64(s.LocContended) }, false},
 	{"pta_trace_emitted_total", "counter", "Trace events recorded into the ring buffers.",
 		func(s *MetricsSnapshot) float64 { return float64(s.TraceEmitted) }, true},

@@ -124,7 +124,7 @@ func exercisedMetrics() *Metrics {
 	m.PendingRestarts.Add(2)
 	m.SchedTasks.Add(17)
 	m.SchedSteals.Add(4)
-	m.SchedParks.Add(6)
+	m.LocContended.Add(6)
 	m.PeakSet.Observe(99)
 	for v := int64(0); v < 20; v++ {
 		m.Cardinality.Observe(v)
@@ -155,7 +155,7 @@ func TestPrometheusStructure(t *testing.T) {
 		"pta_node_evals_total":     40,
 		"pta_sched_tasks_total":    17,
 		"pta_sched_steals_total":   4,
-		"pta_sched_parks_total":    6,
+		"pta_loc_contended_total":  6,
 		"pta_fixpoint_iters_total": 5,
 		"pta_memo_hit_rate":        0.75,
 	}
@@ -185,6 +185,28 @@ func TestPrometheusStructure(t *testing.T) {
 	if len(info) != 1 || info[0].value != 1 || info[0].labels["goos"] == "" {
 		t.Errorf("pta_info = %+v, want one sample with value 1 and goos label", info)
 	}
+}
+
+// TestPrometheusLocContendedMerged checks that the location-table
+// contention finished runs report reaches the totals a server scrapes.
+func TestPrometheusLocContendedMerged(t *testing.T) {
+	tot := NewMetrics()
+	s := &MetricsSnapshot{LocContended: 5}
+	tot.Merge(s)
+	tot.Merge(s)
+	var b bytes.Buffer
+	if err := WritePrometheus(&b, tot); err != nil {
+		t.Fatal(err)
+	}
+	for _, sm := range parseProm(t, b.String()) {
+		if sm.name == "pta_loc_contended_total" {
+			if sm.value != 10 {
+				t.Errorf("pta_loc_contended_total = %v, want 10", sm.value)
+			}
+			return
+		}
+	}
+	t.Fatal("pta_loc_contended_total missing")
 }
 
 func TestPrometheusHistogramConsistency(t *testing.T) {

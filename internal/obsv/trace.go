@@ -48,9 +48,9 @@ func NewTracer(shards, capacity int) *Tracer {
 // Enabled reports whether the tracer records anything.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// NewTrack allocates a fresh track for a newly spawned worker goroutine.
-// Track 0 (the calling goroutine of the analysis) is implicit and never
-// returned.
+// NewTrack allocates a fresh track, such as a spare worker track of an
+// analysis. Track 0 (the calling goroutine of the analysis) is implicit
+// and never returned.
 func (t *Tracer) NewTrack() Track {
 	if t == nil {
 		return 0

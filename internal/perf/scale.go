@@ -16,8 +16,8 @@ import (
 )
 
 // This file implements the -scale mode: wall-time trajectories of the same
-// analysis at increasing worker counts, with the scheduler and lock
-// counters that explain where the time went. The committed artifact is
+// analysis at increasing worker counts, with the fan-out and lock counters
+// that explain where the time went. The committed artifact is
 // BENCH_scale.json.
 
 // ScalePoint is one (program, worker count) measurement.
@@ -42,15 +42,14 @@ type ScalePoint struct {
 	// single-CPU host).
 	Steps int64 `json:"steps"`
 
-	// Scheduler activity: fan-out branches enqueued, branches taken from
-	// another worker's deque, and times a worker parked empty-handed.
+	// Fan-out activity: branches forked, and branches that ran on a spare
+	// worker track rather than on the forking goroutine.
 	SchedTasks  int64 `json:"sched_tasks"`
 	SchedSteals int64 `json:"sched_steals"`
-	SchedParks  int64 `json:"sched_parks"`
 
 	// LocContended counts location-table lock acquisitions that found the
 	// lock already held.
-	LocContended uint64 `json:"loc_contended"`
+	LocContended int64 `json:"loc_contended"`
 }
 
 // ScaleProgram is the trajectory of one program across the worker set.
@@ -164,7 +163,6 @@ func RunScale(targets []ScaleTarget, workerSet []int, repeats int) (*ScaleReport
 				pt.Steps = m.Steps
 				pt.SchedTasks = m.SchedTasks
 				pt.SchedSteals = m.SchedSteals
-				pt.SchedParks = m.SchedParks
 				pt.LocContended = m.LocContended
 			}
 			fp := pta.Fingerprint(res)
@@ -196,14 +194,13 @@ func (r *ScaleReport) WriteJSON(w io.Writer) error {
 func (r *ScaleReport) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "scaling trajectory (gomaxprocs=%d, cpus=%d, best of %d runs)\n\n",
 		r.GOMAXPROCS, r.NumCPU, r.Repeats)
-	fmt.Fprintf(w, "%-24s %8s %10s %8s %9s %9s %8s %8s %10s %5s\n",
-		"program", "workers", "wall", "speedup", "steps", "tasks", "steals", "parks", "loc-cd", "ok")
+	fmt.Fprintf(w, "%-24s %8s %10s %8s %9s %9s %8s %10s %5s\n",
+		"program", "workers", "wall", "speedup", "steps", "tasks", "steals", "loc-cd", "ok")
 	for _, p := range r.Programs {
 		for _, pt := range p.Points {
-			fmt.Fprintf(w, "%-24s %8d %8.1fms %7.2fx %9d %9d %8d %8d %10d %5v\n",
+			fmt.Fprintf(w, "%-24s %8d %8.1fms %7.2fx %9d %9d %8d %10d %5v\n",
 				p.Name, pt.Workers, pt.WallMS, pt.Speedup, pt.Steps,
-				pt.SchedTasks, pt.SchedSteals, pt.SchedParks,
-				pt.LocContended, pt.Identical)
+				pt.SchedTasks, pt.SchedSteals, pt.LocContended, pt.Identical)
 		}
 	}
 }

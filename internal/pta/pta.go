@@ -82,9 +82,9 @@ type Options struct {
 	// for every exhaustive analysis except ShareContexts ones.
 	RecordContexts bool
 
-	// Workers bounds the worker pool that evaluates independent invocation
-	// subtrees (function-pointer fan-out targets and if/else branches) in
-	// parallel. 0 means GOMAXPROCS; 1 forces fully serial evaluation. All
+	// Workers bounds how many goroutines evaluate independent invocation
+	// subtrees (function-pointer fan-out targets and if/else branches) at
+	// once. 0 means GOMAXPROCS; 1 forces fully serial evaluation. All
 	// merges are performed in deterministic order, so results are
 	// bit-identical to the serial analysis for every worker count. The
 	// ShareContexts and ContextInsensitive variants are order-sensitive
@@ -93,7 +93,7 @@ type Options struct {
 
 	// Tracer, when non-nil, receives hierarchical spans for invocation-
 	// graph node evaluations, map/unmap operations, basic-statement
-	// transfers, fixed-point iterations and worker-pool scheduling.
+	// transfers, fixed-point iterations and spare-worker fan-out branches.
 	// Tracing is purely observational: results are bit-identical with and
 	// without it (enforced by the determinism guard tests), and a nil
 	// tracer costs one pointer check per hook.
@@ -164,7 +164,7 @@ type Result struct {
 	// through this one registry.
 	Metrics *obsv.MetricsSnapshot
 
-	// Workers is the effective worker-pool size the analysis ran with.
+	// Workers is the effective worker count the analysis ran with.
 	Workers int
 
 	// Live is the liveness information the run pruned against; nil in
@@ -219,12 +219,18 @@ func Analyze(prog *simple.Program, opts Options) (*Result, error) {
 	}
 	a.workers = effectiveWorkers(opts)
 	if a.workers > 1 {
-		a.sched = newScheduler(a.workers, a.tracer, a.m)
-		defer a.sched.stop()
+		a.spare = make(chan obsv.Track, a.workers-1)
+		for i := 1; i < a.workers; i++ {
+			a.spare <- a.tracer.NewTrack()
+		}
 	}
 	res := &Result{Prog: prog, Table: a.tab, Graph: g, Opts: opts, Annots: a.ann, Live: a.live}
 
-	if err := a.run(); err != nil {
+	err = a.run()
+	// Count location-table contention into the registry even for an
+	// aborted run, so a caller that snapshots the registry itself sees it.
+	a.m.LocContended.Add(int64(a.tab.Stats().Contended))
+	if err != nil {
 		return nil, err
 	}
 	a.ann.finish()
@@ -238,11 +244,10 @@ func Analyze(prog *simple.Program, opts Options) (*Result, error) {
 	res.MainOut = a.mainOut
 	res.Workers = a.workers
 
-	// Snapshot the metrics registry and fill in the parts it cannot see:
-	// location-table contention and trace ring accounting. Every caller —
-	// serial or parallel — reports through the one registry.
+	// Snapshot the metrics registry and fill in the part it cannot see:
+	// trace ring accounting. Every caller — serial or parallel — reports
+	// through the one registry.
 	snap := a.m.Snapshot()
-	snap.LocContended = a.tab.Stats().Contended
 	if a.tracer.Enabled() {
 		snap.TraceEmitted = a.tracer.Emitted()
 		snap.TraceDropped = a.tracer.Dropped()
@@ -293,12 +298,13 @@ type analyzer struct {
 	m      *obsv.Metrics
 	tracer *obsv.Tracer
 
-	// Work-stealing scheduler: workers is the effective parallelism; sched
-	// is nil when serial (see schedule.go). recMu serializes appends to
-	// recursion pending lists, which sibling subtrees may share through an
-	// ancestor.
+	// Parallel fan-out (parallel.go): workers is the effective
+	// parallelism; spare holds the workers-1 trace tracks a branch must
+	// take to run on its own goroutine, and is nil when serial. recMu
+	// serializes appends to recursion pending lists, which sibling
+	// subtrees may share through an ancestor.
 	workers int
-	sched   *wsScheduler
+	spare   chan obsv.Track
 	recMu   sync.Mutex
 
 	// Context-insensitive variant state.

@@ -238,7 +238,7 @@ func (s *Server) run(id, view string, req *QueryRequest) (int, any, string) {
 func (s *Server) analyze(prog *simple.Program, cfg *pointsto.Config, resp *AnalyzeResponse) (a *pointsto.Analysis, err error) {
 	defer func() {
 		if a != nil {
-			resp.Metrics = a.Metrics() // adds the interning stats the registry lacks
+			resp.Metrics = a.Metrics() // adds the trace counts the registry lacks
 		} else {
 			resp.Metrics = cfg.Metrics.Snapshot()
 		}

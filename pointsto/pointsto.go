@@ -58,13 +58,13 @@ type Config struct {
 	// global per-function summary cache that shares invocation-graph
 	// subtrees with identical inputs.
 	ShareContexts bool
-	// Workers bounds the pool evaluating independent invocation subtrees
-	// in parallel: 0 means GOMAXPROCS, 1 forces serial. Results are
+	// Workers bounds how many goroutines evaluate independent invocation
+	// subtrees at once: 0 means GOMAXPROCS, 1 forces serial. Results are
 	// bit-identical for every worker count.
 	Workers int
 	// Trace records a structured execution trace (invocation-graph node
 	// evaluations, map/unmap, basic statements, fixed-point iterations,
-	// worker scheduling) retrievable from Analysis.Tracer and exportable
+	// fan-out branches on spare workers) retrievable from Analysis.Tracer and exportable
 	// with WriteChromeTrace / WriteTraceJSONL. Tracing never changes
 	// analysis results.
 	Trace bool
