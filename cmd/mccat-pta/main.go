@@ -211,7 +211,11 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	}
 	var flight *obsv.FlightRecorder
 	if !*noFlight {
-		flight = obsv.NewFlightRecorder(0, 0)
+		flight = obsv.NewFlightRecorder(stderr)
+	}
+	var tracer *obsv.Tracer
+	if *traceOut != "" || *traceJSONL != "" {
+		tracer = obsv.NewTracer(0, *traceBuf)
 	}
 
 	queries := make([]pointsto.Query, len(queryFlags))
@@ -243,12 +247,10 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		Demand:             *demand,
 		Queries:            queries,
 		DemandClients:      demandClients,
-		Trace:              *traceOut != "" || *traceJSONL != "",
-		TraceBuffer:        *traceBuf,
+		Tracer:             tracer,
 		MaxSteps:           *maxSteps,
 		Metrics:            liveMetrics,
 		Flight:             flight,
-		FlightDump:         stderr,
 		StallWindow:        *watchdog,
 		StallKill:          *wdKill,
 	}

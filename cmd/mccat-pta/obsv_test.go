@@ -104,3 +104,41 @@ func TestWatchdogFlagParses(t *testing.T) {
 		t.Errorf("watchdog fired on a healthy run:\n%s", stderr)
 	}
 }
+
+// TestTraceCountsOnlyForTracedRuns: the trace counts describe the trace
+// the caller asked for. An untraced run binds only the flight recorder's
+// private ring, which neither -stats nor -metrics-out reports; a traced
+// run with a tiny ring still reports its drops.
+func TestTraceCountsOnlyForTracedRuns(t *testing.T) {
+	dir := t.TempDir()
+	metricsOut := filepath.Join(dir, "metrics.json")
+	code, out, stderr := runCLI(t, "-bench", "livc", "-workers", "1", "-stats", "-metrics-out", metricsOut)
+	if code != 0 {
+		t.Fatalf("exit code = %d, stderr: %s", code, stderr)
+	}
+	if strings.Contains(out, "trace:") {
+		t.Errorf("untraced -stats reports trace counts:\n%s", out)
+	}
+	data, err := os.ReadFile(metricsOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]any
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"trace_emitted", "trace_dropped"} {
+		if _, ok := snap[key]; ok {
+			t.Errorf("untraced -metrics-out has %q", key)
+		}
+	}
+
+	code, out, stderr = runCLI(t, "-bench", "livc", "-workers", "1", "-stats",
+		"-trace", filepath.Join(dir, "trace.json"), "-trace-buf", "8")
+	if code != 0 {
+		t.Fatalf("traced run: exit code = %d, stderr: %s", code, stderr)
+	}
+	if !strings.Contains(out, " events dropped by ring overflow (raise -trace-buf)\n") {
+		t.Errorf("traced -stats with an 8-event ring reports no drops:\n%s", out)
+	}
+}

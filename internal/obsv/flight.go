@@ -3,85 +3,78 @@ package obsv
 import (
 	"fmt"
 	"io"
+	"os"
+	"runtime"
 	"sync"
 	"time"
 )
 
 // FlightRecorder is the always-on crash/stall diagnosis layer: a bounded
-// last-N-spans recorder plus a periodic sampler of metrics deltas. It is
-// cheap enough to leave enabled on every run — the span store is a small
-// drop-oldest ring (the same lock-free ring the tracer uses), and the
-// sampler wakes a few times per second to read atomic counters — so when a
-// 400k-statement analysis panics, exceeds its step budget, or stalls, Dump
-// produces a diagnosable artifact (recent spans, recent progress rates,
-// final counters) instead of a bare error.
+// last-N-spans recorder plus a ring of progress samples. It is a passive
+// record, cheap enough to leave enabled on every run — the span store is a
+// small drop-oldest ring (the same lock-free ring the tracer uses), and
+// the analysis's run monitor calls Sample a few times per second — so when
+// a 400k-statement analysis panics, exceeds its step budget, or stalls,
+// Dump produces a diagnosable artifact (recent spans, recent progress
+// rates, final counters) instead of a bare error.
 //
 // Lifecycle: create once with NewFlightRecorder, then Bind it to each
 // analysis run. Bind returns the tracer the run should emit spans into —
 // the caller's own full tracer when one exists, otherwise the recorder's
-// internal bounded tracer — and starts the sampler. Unbind stops the
-// sampler; Dump may be called at any time, including mid-run.
+// internal bounded tracer. Dump may be called at any time, including
+// mid-run and after the run.
 type FlightRecorder struct {
-	spanCap  int
-	interval time.Duration
+	w io.Writer // where the analysis dumps abnormal ends of run
 
 	mu      sync.Mutex
 	tr      *Tracer // tracer Dump reads spans from (internal or external)
 	m       *Metrics
-	samples []FlightSample // ring, oldest dropped
+	samples []flightSample // ring, oldest dropped
 	total   int            // samples ever taken
 	bound   time.Time
-	stop    chan struct{}
-	done    chan struct{}
 }
 
-// FlightSample is one periodic reading of the run's progress counters,
-// taken relative to the moment the recorder was bound.
-type FlightSample struct {
-	At            time.Duration `json:"at"`
-	Steps         int64         `json:"steps"`
-	NodeEvals     int64         `json:"node_evals"`
-	MemoHits      int64         `json:"memo_hits"`
-	FixpointIters int64         `json:"fixpoint_iters"`
-	SchedTasks    int64         `json:"sched_tasks"`
-	PeakSet       int64         `json:"peak_set"`
+// flightSample is one reading of the run's progress counters, taken
+// relative to the moment the recorder was bound.
+type flightSample struct {
+	At        time.Duration
+	Steps     int64
+	NodeEvals int64
+	PeakSet   int64
 }
 
-// Flight recorder defaults: how many spans and samples survive, and how
-// often progress is sampled.
+// How many spans and progress samples survive in a flight record.
 const (
-	DefaultFlightSpans    = 256
-	DefaultFlightSamples  = 120
-	DefaultFlightInterval = 250 * time.Millisecond
+	flightSpanCap   = 256
+	flightSampleCap = 120
 )
 
-// flightSampleCap bounds the sample ring.
-const flightSampleCap = DefaultFlightSamples
+// NewFlightRecorder returns a recorder whose record the analysis dumps to
+// w when a run panics, exceeds its step budget, or stalls (nil means
+// os.Stderr).
+func NewFlightRecorder(w io.Writer) *FlightRecorder {
+	return &FlightRecorder{w: w}
+}
 
-// NewFlightRecorder returns a recorder keeping the last spanCap spans
-// (0 means DefaultFlightSpans) and sampling metrics every interval
-// (0 means DefaultFlightInterval).
-func NewFlightRecorder(spanCap int, interval time.Duration) *FlightRecorder {
-	if spanCap <= 0 {
-		spanCap = DefaultFlightSpans
+// Writer is where the analysis writes flight records and stall reports:
+// the recorder's writer, or os.Stderr for a nil recorder or writer.
+func (f *FlightRecorder) Writer() io.Writer {
+	if f == nil || f.w == nil {
+		return os.Stderr
 	}
-	if interval <= 0 {
-		interval = DefaultFlightInterval
-	}
-	return &FlightRecorder{spanCap: spanCap, interval: interval}
+	return f.w
 }
 
 // Bind attaches the recorder to one analysis run: m is the run's live
 // metrics registry, tr its tracer (nil when the run is untraced). The
 // returned tracer is what the run must emit spans into — tr itself when
 // non-nil, otherwise an internal single-shard tracer bounded at the
-// recorder's span capacity. Bind starts the background sampler; callers
-// must Unbind when the run finishes (or unwinds).
+// recorder's span capacity. Binding drops the samples of an earlier run.
 func (f *FlightRecorder) Bind(m *Metrics, tr *Tracer) *Tracer {
 	if tr == nil {
 		// One shard so the ring holds the last N spans globally, not per
 		// worker track.
-		tr = NewTracer(1, f.spanCap)
+		tr = NewTracer(1, flightSpanCap)
 	}
 	f.mu.Lock()
 	f.tr = tr
@@ -89,80 +82,37 @@ func (f *FlightRecorder) Bind(m *Metrics, tr *Tracer) *Tracer {
 	f.samples = f.samples[:0]
 	f.total = 0
 	f.bound = time.Now()
-	f.stop = make(chan struct{})
-	f.done = make(chan struct{})
-	stop, done := f.stop, f.done
 	f.mu.Unlock()
-	go f.sampleLoop(stop, done)
 	return tr
 }
 
-// Unbind stops the sampler started by Bind. The recorded spans and samples
-// remain readable (Dump still works) until the next Bind. Safe to call more
-// than once.
-func (f *FlightRecorder) Unbind() {
-	f.mu.Lock()
-	stop, done := f.stop, f.done
-	f.stop = nil
-	f.mu.Unlock()
-	if stop == nil {
+// Sample appends one progress reading, dropping the oldest past capacity.
+// It is a no-op on a nil or unbound recorder.
+func (f *FlightRecorder) Sample() {
+	if f == nil {
 		return
 	}
-	close(stop)
-	<-done
-}
-
-func (f *FlightRecorder) sampleLoop(stop, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(f.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			f.sample()
-		}
-	}
-}
-
-// sample appends one progress reading, dropping the oldest past capacity.
-func (f *FlightRecorder) sample() {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	m := f.m
-	at := time.Since(f.bound)
-	f.mu.Unlock()
 	if m == nil {
 		return
 	}
-	s := FlightSample{
-		At:            at,
-		Steps:         m.Steps.Load(),
-		NodeEvals:     m.NodeEvals.Load(),
-		MemoHits:      m.MemoHits.Load(),
-		FixpointIters: m.FixpointIters.Load(),
-		SchedTasks:    m.SchedTasks.Load(),
-		PeakSet:       m.PeakSet.Load(),
-	}
-	f.mu.Lock()
 	if len(f.samples) >= flightSampleCap {
 		copy(f.samples, f.samples[1:])
 		f.samples = f.samples[:len(f.samples)-1]
 	}
-	f.samples = append(f.samples, s)
+	f.samples = append(f.samples, flightSample{
+		At:        time.Since(f.bound),
+		Steps:     m.Steps.Load(),
+		NodeEvals: m.NodeEvals.Load(),
+		PeakSet:   m.PeakSet.Load(),
+	})
 	f.total++
-	f.mu.Unlock()
-}
-
-// Samples returns a copy of the surviving progress samples, oldest first.
-func (f *FlightRecorder) Samples() []FlightSample {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]FlightSample(nil), f.samples...)
 }
 
 // Dump writes the flight record: the cause line, the current counter state,
-// the recent progress samples with per-interval deltas, and the most recent
+// the recent progress samples with per-sample deltas, and the most recent
 // spans. Safe to call while the analysis is still running (the metrics
 // registry is atomic and ring reads never block writers) and with a nil
 // receiver (no-op).
@@ -173,7 +123,7 @@ func (f *FlightRecorder) Dump(w io.Writer, cause string) error {
 	f.mu.Lock()
 	tr, m := f.tr, f.m
 	bound := f.bound
-	samples := append([]FlightSample(nil), f.samples...)
+	samples := append([]flightSample(nil), f.samples...)
 	total := f.total
 	f.mu.Unlock()
 
@@ -189,11 +139,10 @@ func (f *FlightRecorder) Dump(w io.Writer, cause string) error {
 		m.SchedTasks.Load(), m.SchedSteals.Load(), m.PeakSet.Load())
 
 	if len(samples) > 0 {
-		fmt.Fprintf(w, "progress samples (every %s, %d taken, last %d kept):\n",
-			f.interval, total, len(samples))
+		fmt.Fprintf(w, "progress samples (%d taken, last %d kept):\n", total, len(samples))
 		fmt.Fprintf(w, "  %10s %12s %10s %10s %10s %9s\n",
 			"t", "steps", "d-steps", "evals", "d-evals", "peak")
-		prev := FlightSample{}
+		prev := flightSample{}
 		for i, s := range samples {
 			dSteps, dEvals := s.Steps, s.NodeEvals
 			if i > 0 {
@@ -209,8 +158,8 @@ func (f *FlightRecorder) Dump(w io.Writer, cause string) error {
 	if tr != nil {
 		evs := tr.Events()
 		kept := evs
-		if len(kept) > f.spanCap {
-			kept = kept[len(kept)-f.spanCap:]
+		if len(kept) > flightSpanCap {
+			kept = kept[len(kept)-flightSpanCap:]
 		}
 		fmt.Fprintf(w, "last %d spans (%d recorded, %d dropped by ring overflow):\n",
 			len(kept), tr.Emitted(), tr.Dropped())
@@ -226,4 +175,16 @@ func (f *FlightRecorder) Dump(w io.Writer, cause string) error {
 	}
 	_, err := fmt.Fprintf(w, "=== end flight record ===\n")
 	return err
+}
+
+// WriteStallReport renders the standard stall preamble: the warning line
+// (how long the Steps counter has been stuck, and at what value) and a
+// dump of every goroutine's stack. The analysis follows it with the
+// flight record.
+func WriteStallReport(w io.Writer, stalled time.Duration, steps int64) {
+	fmt.Fprintf(w, "=== stall watchdog: no progress for %s (stuck at %d steps) ===\n",
+		stalled.Round(time.Millisecond), steps)
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	fmt.Fprintf(w, "goroutine stacks:\n%s\n", buf[:n])
 }

@@ -2,21 +2,22 @@ package obsv
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
 )
 
 func TestFlightRecorderBindReturnsTracer(t *testing.T) {
-	f := NewFlightRecorder(8, time.Hour) // sampler effectively off
-	defer f.Unbind()
+	f := NewFlightRecorder(io.Discard)
 
 	// Without an external tracer Bind supplies a bounded internal one.
 	tr := f.Bind(NewMetrics(), nil)
 	if tr == nil {
 		t.Fatal("Bind returned nil tracer")
 	}
-	f.Unbind()
 
 	// With an external tracer Bind passes it through unchanged.
 	ext := NewTracer(2, 64)
@@ -26,52 +27,65 @@ func TestFlightRecorderBindReturnsTracer(t *testing.T) {
 }
 
 func TestFlightRecorderSamples(t *testing.T) {
-	f := NewFlightRecorder(8, time.Millisecond)
+	f := NewFlightRecorder(io.Discard)
 	m := NewMetrics()
+	f.Sample() // unbound: no-op
 	f.Bind(m, nil)
-	defer f.Unbind()
 
 	m.Steps.Add(100)
-	deadline := time.Now().Add(2 * time.Second)
-	for len(f.Samples()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("sampler took no samples within 2s")
-		}
-		time.Sleep(time.Millisecond)
+	f.Sample()
+	m.Steps.Add(5)
+	m.NodeEvals.Add(3)
+	f.Sample()
+	if len(f.samples) != 2 || f.total != 2 {
+		t.Fatalf("%d samples kept of %d taken, want 2 of 2", len(f.samples), f.total)
 	}
-	s := f.Samples()[len(f.Samples())-1]
-	if s.Steps < 100 {
-		t.Errorf("sample steps = %d, want >= 100", s.Steps)
+	if s := f.samples[0]; s.Steps != 100 || s.NodeEvals != 0 {
+		t.Errorf("first sample = %+v, want steps 100, node_evals 0", s)
+	}
+	if s := f.samples[1]; s.Steps != 105 || s.NodeEvals != 3 {
+		t.Errorf("second sample = %+v, want steps 105, node_evals 3", s)
+	}
+
+	// Rebinding starts a fresh record.
+	f.Bind(NewMetrics(), nil)
+	if len(f.samples) != 0 || f.total != 0 {
+		t.Errorf("rebind kept %d samples of %d taken", len(f.samples), f.total)
 	}
 }
 
 func TestFlightRecorderSampleRingBounded(t *testing.T) {
-	f := NewFlightRecorder(8, time.Hour)
-	f.Bind(NewMetrics(), nil)
-	defer f.Unbind()
-	// Drive sample() directly well past capacity.
+	f := NewFlightRecorder(io.Discard)
+	m := NewMetrics()
+	f.Bind(m, nil)
 	for i := 0; i < 3*flightSampleCap; i++ {
-		f.sample()
+		m.Steps.Inc()
+		f.Sample()
 	}
-	if got := len(f.Samples()); got != flightSampleCap {
+	if got := len(f.samples); got != flightSampleCap {
 		t.Errorf("sample ring holds %d, want cap %d", got, flightSampleCap)
+	}
+	if f.total != 3*flightSampleCap {
+		t.Errorf("%d samples counted, want %d", f.total, 3*flightSampleCap)
+	}
+	if first := f.samples[0].Steps; first != 2*flightSampleCap+1 {
+		t.Errorf("oldest kept sample at steps %d, want %d", first, 2*flightSampleCap+1)
 	}
 }
 
 func TestFlightRecorderDump(t *testing.T) {
-	f := NewFlightRecorder(4, time.Hour)
+	f := NewFlightRecorder(io.Discard)
 	m := NewMetrics()
 	tr := f.Bind(m, nil)
-	defer f.Unbind()
 
 	m.Steps.Add(42)
 	m.NodeEvals.Add(7)
 	// Overfill the span ring so Dump shows only the most recent spans.
 	tk := tr.NewTrack()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < flightSpanCap+10; i++ {
 		tr.Begin(tk, CatNode, "eval", "fn").End()
 	}
-	f.sample()
+	f.Sample()
 
 	var b bytes.Buffer
 	if err := f.Dump(&b, "unit test"); err != nil {
@@ -82,8 +96,8 @@ func TestFlightRecorderDump(t *testing.T) {
 		"=== flight record: unit test ===",
 		"steps=42",
 		"node_evals=7",
-		"progress samples",
-		"last ",
+		"progress samples (1 taken, last 1 kept)",
+		fmt.Sprintf("last %d spans", flightSpanCap),
 		"eval",
 		"=== end flight record ===",
 	} {
@@ -98,31 +112,38 @@ func TestFlightRecorderNilSafety(t *testing.T) {
 	if err := f.Dump(&bytes.Buffer{}, "nil"); err != nil {
 		t.Errorf("nil-receiver Dump should no-op, got %v", err)
 	}
-}
-
-func TestFlightRecorderUnbindIdempotent(t *testing.T) {
-	f := NewFlightRecorder(8, time.Millisecond)
-	f.Bind(NewMetrics(), nil)
-	f.Unbind()
-	f.Unbind() // must not panic or deadlock
-
-	// Dump still works after unbinding (crash triage can outlive the run).
-	var b bytes.Buffer
-	if err := f.Dump(&b, "post-unbind"); err != nil {
-		t.Fatal(err)
+	f.Sample() // must not panic
+	if f.Writer() != os.Stderr {
+		t.Error("a nil recorder must write to os.Stderr")
 	}
-	if !strings.Contains(b.String(), "post-unbind") {
-		t.Error("post-unbind dump missing cause")
+	if NewFlightRecorder(nil).Writer() != os.Stderr {
+		t.Error("a recorder built without a writer must write to os.Stderr")
+	}
+	var b bytes.Buffer
+	if NewFlightRecorder(&b).Writer() != &b {
+		t.Error("Writer must return the writer the recorder was built with")
 	}
 }
 
 func TestFlightRecorderNeverBound(t *testing.T) {
-	f := NewFlightRecorder(8, time.Hour)
+	f := NewFlightRecorder(nil)
 	var b bytes.Buffer
 	if err := f.Dump(&b, "cold"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "never bound") {
 		t.Errorf("cold dump should say the recorder was never bound:\n%s", b.String())
+	}
+}
+
+func TestWriteStallReport(t *testing.T) {
+	var b bytes.Buffer
+	WriteStallReport(&b, 3*time.Second, 12345)
+	out := b.String()
+	if !strings.HasPrefix(out, "=== stall watchdog: no progress for 3s (stuck at 12345 steps) ===\n") {
+		t.Errorf("report header changed:\n%.200s", out)
+	}
+	if !strings.Contains(out, "goroutine ") {
+		t.Errorf("report missing goroutine stacks:\n%s", out)
 	}
 }

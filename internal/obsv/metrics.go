@@ -344,8 +344,9 @@ type MetricsSnapshot struct {
 	// Cardinality is the points-to set size distribution over statements.
 	Cardinality HistogramSnapshot `json:"set_cardinality"`
 
-	// TraceEmitted / TraceDropped report ring-buffer activity when the run
-	// was traced (dropped_events is the overflow loss).
+	// TraceEmitted / TraceDropped report the ring activity of the caller's
+	// tracer (trace_dropped is the overflow loss); both are 0 when the run
+	// was untraced, whatever the flight recorder's own ring kept.
 	TraceEmitted uint64 `json:"trace_emitted,omitempty"`
 	TraceDropped uint64 `json:"trace_dropped,omitempty"`
 

@@ -24,11 +24,10 @@ func TestFlightRecorderDoesNotChangeResults(t *testing.T) {
 		t.Run(fx.name, func(t *testing.T) {
 			want := pta.Fingerprint(analyze(t, fx.prog, pta.Options{Workers: 1}))
 			for _, w := range workerCounts {
-				fr := obsv.NewFlightRecorder(64, 50*time.Millisecond)
+				fr := obsv.NewFlightRecorder(io.Discard)
 				res := analyze(t, fx.prog, pta.Options{
 					Workers:     w,
 					Flight:      fr,
-					FlightDump:  io.Discard,
 					StallWindow: time.Hour,
 				})
 				if got := pta.Fingerprint(res); got != want {
@@ -56,11 +55,9 @@ func TestStepsExceededDumpsFlightRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	fr := obsv.NewFlightRecorder(64, 50*time.Millisecond)
 	_, err = pta.Analyze(prog, pta.Options{
-		MaxSteps:   50,
-		Flight:     fr,
-		FlightDump: &buf,
+		MaxSteps: 50,
+		Flight:   obsv.NewFlightRecorder(&buf),
 	})
 	if err == nil || !strings.Contains(err.Error(), "exceeded 50 steps") {
 		t.Fatalf("err = %v, want steps-exceeded error", err)

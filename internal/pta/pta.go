@@ -2,8 +2,6 @@ package pta
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"runtime"
 	"slices"
 	"sort"
@@ -69,7 +67,7 @@ type Options struct {
 	ShareContexts bool
 
 	// MaxSteps bounds the number of basic-statement evaluations as a
-	// runaway guard (0 means the default of 50 million).
+	// runaway guard (0 means DefaultMaxSteps).
 	MaxSteps int
 
 	// RecordContexts keeps, for every statement, the merged input per
@@ -93,10 +91,11 @@ type Options struct {
 
 	// Tracer, when non-nil, receives hierarchical spans for invocation-
 	// graph node evaluations, map/unmap operations, basic-statement
-	// transfers, fixed-point iterations and spare-worker fan-out branches.
-	// Tracing is purely observational: results are bit-identical with and
-	// without it (enforced by the determinism guard tests), and a nil
-	// tracer costs one pointer check per hook.
+	// transfers, fixed-point iterations and spare-worker fan-out branches,
+	// and Result.Metrics reports its ring accounting (TraceEmitted,
+	// TraceDropped). Tracing is purely observational: results are
+	// bit-identical with and without it (enforced by the determinism guard
+	// tests), and a nil tracer costs one pointer check per hook.
 	Tracer *obsv.Tracer
 
 	// Metrics, when non-nil, supplies the live registry the run reports
@@ -107,21 +106,17 @@ type Options struct {
 	Metrics *obsv.Metrics
 
 	// Flight, when non-nil, attaches the always-on flight recorder: the
-	// last-N spans and periodic progress samples are kept in bounded
-	// buffers and dumped to FlightDump when the run panics, exceeds its
-	// step budget, or the stall watchdog fires. Like tracing, the recorder
-	// never changes analysis results.
+	// last-N spans and the run monitor's progress samples are kept in
+	// bounded buffers and dumped to the recorder's writer when the run
+	// panics, exceeds its step budget, or stalls. Like tracing, the
+	// recorder never changes analysis results.
 	Flight *obsv.FlightRecorder
 
-	// FlightDump receives flight-record and stall dumps (default
-	// os.Stderr).
-	FlightDump io.Writer
-
-	// StallWindow, when positive, arms a watchdog that samples the Steps
-	// counter and — after StallWindow without progress — emits a warning
-	// event, dumps goroutine stacks plus the flight record to FlightDump,
-	// and (with StallKill) aborts the run deterministically through the
-	// step-budget unwind path.
+	// StallWindow, when positive, makes the run monitor watch the Steps
+	// counter: after StallWindow without progress it emits a warning
+	// event, writes goroutine stacks plus the flight record to the
+	// recorder's writer (os.Stderr without a recorder), and with StallKill
+	// aborts the run deterministically through the step-budget unwind.
 	StallWindow time.Duration
 
 	// StallKill makes a detected stall abort the analysis (the run returns
@@ -138,6 +133,9 @@ type Options struct {
 	// mode (nil) remains the default and the correctness oracle.
 	Demand *live.Seeds
 }
+
+// DefaultMaxSteps is the step budget of a run that sets no MaxSteps.
+const DefaultMaxSteps = 50_000_000
 
 // Result is the outcome of an analysis.
 type Result struct {
@@ -193,7 +191,7 @@ func Analyze(prog *simple.Program, opts Options) (*Result, error) {
 		limit:  int64(opts.MaxSteps),
 	}
 	if a.limit == 0 {
-		a.limit = 50_000_000
+		a.limit = DefaultMaxSteps
 	}
 	a.stepCeil.Store(a.limit)
 	if opts.RecordContexts {
@@ -212,10 +210,6 @@ func Analyze(prog *simple.Program, opts Options) (*Result, error) {
 		// The recorder returns the tracer the run must emit into: the full
 		// tracer when one was requested, otherwise its own bounded ring.
 		a.tracer = opts.Flight.Bind(a.m, a.tracer)
-		defer opts.Flight.Unbind()
-	}
-	if wd := a.startWatchdog(); wd != nil {
-		defer wd.Stop()
 	}
 	a.workers = effectiveWorkers(opts)
 	if a.workers > 1 {
@@ -245,12 +239,14 @@ func Analyze(prog *simple.Program, opts Options) (*Result, error) {
 	res.Workers = a.workers
 
 	// Snapshot the metrics registry and fill in the part it cannot see:
-	// trace ring accounting. Every caller — serial or parallel — reports
-	// through the one registry.
+	// the ring accounting of the caller's tracer. The flight recorder's
+	// private ring is not a trace the caller asked for, so it is not
+	// counted. Every caller — serial or parallel — reports through the one
+	// registry.
 	snap := a.m.Snapshot()
-	if a.tracer.Enabled() {
-		snap.TraceEmitted = a.tracer.Emitted()
-		snap.TraceDropped = a.tracer.Dropped()
+	if opts.Tracer.Enabled() {
+		snap.TraceEmitted = opts.Tracer.Emitted()
+		snap.TraceDropped = opts.Tracer.Dropped()
 	}
 	res.Metrics = snap
 	return res, nil
@@ -280,15 +276,13 @@ type analyzer struct {
 	diagMu  sync.Mutex
 	mainOut ptset.Set
 
-	// limit is the configured step budget (for error messages); stepCeil is
-	// the live ceiling step() checks. They coincide until the stall
-	// watchdog aborts the run, which drops the ceiling below zero so every
-	// worker's next step unwinds through the same deterministic
-	// stepsExceeded path the budget uses. wdAborted distinguishes the two
-	// causes in the recover.
-	limit     int64
-	stepCeil  atomic.Int64
-	wdAborted atomic.Bool
+	// limit is the configured step budget; stepCeil is the live ceiling
+	// step() checks. They coincide until the run is aborted (see abort),
+	// which records the run's one abort cause and drops the ceiling below
+	// zero, so every worker's next step unwinds through stepsExceeded.
+	limit    int64
+	stepCeil atomic.Int64
+	cause    atomic.Pointer[AbortError]
 
 	// m is the metrics registry every counter of the run reports through
 	// (steps, memoization, map/unmap, fixed points, set cardinality,
@@ -326,8 +320,8 @@ func (a *analyzer) diagf(format string, args ...any) {
 type stepsExceeded struct{}
 
 // AbortError is the error of a run the engine cut short: it exceeded its
-// step budget, or the stall watchdog killed it. An attached flight
-// recorder has dumped its record by the time the error is returned.
+// step budget, or the run monitor killed it for stalling. An attached
+// flight recorder has dumped its record by the time the error is returned.
 type AbortError struct{ Reason string }
 
 func (e *AbortError) Error() string { return "pta: analysis " + e.Reason }
@@ -338,74 +332,115 @@ func (a *analyzer) step() {
 	}
 }
 
-// testWatchdogProgress, when set by a test, replaces the watchdog's
+// testWatchdogProgress, when set by a test, replaces the run monitor's
 // progress source so a stall can be forced deterministically on an
 // otherwise always-progressing analysis.
 var testWatchdogProgress func() int64
 
-// startWatchdog arms the stall watchdog when Options.StallWindow is set.
-// On a stall it emits a warning trace event, writes the stall report
-// (goroutine stacks) and the flight record to the flight sink, and — with
-// Options.StallKill — aborts the run through the step-ceiling unwind.
-func (a *analyzer) startWatchdog() *obsv.Watchdog {
-	if a.opts.StallWindow <= 0 {
-		return nil
+// monitorPoll is how often the run monitor samples progress, unless a
+// stall window needs a finer poll.
+const monitorPoll = 250 * time.Millisecond
+
+// startMonitor starts the run's one monitor goroutine when Options.Flight
+// or Options.StallWindow is set, and returns the function that stops and
+// joins it. Every poll samples progress into the flight recorder and
+// reads the Steps counter; after StallWindow without progress the monitor
+// reports the stall once (see reportStall) and re-arms when progress resumes.
+// It polls every 250 ms, or every StallWindow/8 (at least 1 ms) when
+// that is shorter, so a stall is reported within the window plus one poll.
+func (a *analyzer) startMonitor() (stop func()) {
+	window := a.opts.StallWindow
+	if a.opts.Flight == nil && window <= 0 {
+		return func() {}
+	}
+	poll := monitorPoll
+	if window > 0 && window/8 < poll {
+		poll = max(window/8, time.Millisecond)
 	}
 	progress := a.m.Steps.Load
 	if testWatchdogProgress != nil {
 		progress = testWatchdogProgress
 	}
-	return obsv.StartWatchdog(obsv.WatchdogConfig{
-		Window:   a.opts.StallWindow,
-		Progress: progress,
-		OnStall: func(info obsv.StallInfo) {
-			a.tracer.Instant(0, obsv.CatPhase, "stall-watchdog",
-				fmt.Sprintf("no progress for %s", info.Stalled))
-			w := a.flightSink()
-			obsv.WriteStallReport(w, info)
-			a.opts.Flight.Dump(w, fmt.Sprintf("stall after %s without progress", info.Stalled))
-			if a.opts.StallKill {
-				a.wdAborted.Store(true)
-				a.stepCeil.Store(-1)
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(poll)
+		defer t.Stop()
+		last, lastChange, fired := progress(), time.Now(), false
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
 			}
-		},
-	})
+			a.opts.Flight.Sample()
+			v := progress()
+			if v != last {
+				last, lastChange, fired = v, time.Now(), false
+				continue
+			}
+			if stalled := time.Since(lastChange); window > 0 && !fired && stalled >= window {
+				fired = true
+				a.reportStall(stalled, v)
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
 }
 
-// flightSink is where flight records and stall reports go.
-func (a *analyzer) flightSink() io.Writer {
-	if a.opts.FlightDump != nil {
-		return a.opts.FlightDump
+// reportStall reports a stall: a warning trace event, then the stall
+// report (goroutine stacks) and the flight record on the recorder's
+// writer. With Options.StallKill it then aborts the run.
+func (a *analyzer) reportStall(stalled time.Duration, steps int64) {
+	a.tracer.Instant(0, obsv.CatPhase, "stall-watchdog", fmt.Sprintf("no progress for %s", stalled))
+	obsv.WriteStallReport(a.opts.Flight.Writer(), stalled, steps)
+	a.dumpFlight(fmt.Sprintf("stall after %s without progress", stalled))
+	if a.opts.StallKill {
+		a.abort(fmt.Sprintf("aborted by stall watchdog (no progress for %s)", a.opts.StallWindow))
 	}
-	return os.Stderr
+}
+
+// abort records reason as the run's abort cause and drops the step
+// ceiling below zero, so every worker unwinds at its next step and run
+// returns the cause. Only the first abort of a run counts; abort reports
+// whether this call was it.
+func (a *analyzer) abort(reason string) bool {
+	if !a.cause.CompareAndSwap(nil, &AbortError{Reason: reason}) {
+		return false
+	}
+	a.stepCeil.Store(-1)
+	return true
 }
 
 // dumpFlight writes the flight record for an abnormal end of run.
 func (a *analyzer) dumpFlight(cause string) {
-	if a.opts.Flight == nil {
-		return
-	}
-	a.opts.Flight.Dump(a.flightSink(), cause)
+	a.opts.Flight.Dump(a.opts.Flight.Writer(), cause)
 }
 
 func (a *analyzer) run() (err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(stepsExceeded); ok {
-				if a.wdAborted.Load() {
-					// The stall hook already dumped the flight record.
-					err = &AbortError{Reason: fmt.Sprintf("aborted by stall watchdog (no progress for %s)",
-						a.opts.StallWindow)}
-					return
-				}
-				a.dumpFlight(fmt.Sprintf("steps exceeded (budget %d)", a.limit))
-				err = &AbortError{Reason: fmt.Sprintf("exceeded %d steps (non-terminating fixed point?)", a.limit)}
-				return
-			}
+		r := recover()
+		if r == nil {
+			return
+		}
+		if _, ok := r.(stepsExceeded); !ok {
 			a.dumpFlight(fmt.Sprintf("panic: %v", r))
 			panic(r)
 		}
+		// A stall kill recorded its cause before it dropped the ceiling;
+		// any other unwind is the step budget running out.
+		if a.abort(fmt.Sprintf("exceeded %d steps (non-terminating fixed point?)", a.limit)) {
+			a.dumpFlight(fmt.Sprintf("steps exceeded (budget %d)", a.limit))
+		}
+		err = a.cause.Load()
 	}()
+	// The monitor watches the fixed point only: what Analyze does after
+	// it takes no steps, and would read as a stall.
+	stop := a.startMonitor()
+	defer stop()
 
 	// Initial environment: global pointers are NULL, then the synthesized
 	// global initializers run.

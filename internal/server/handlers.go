@@ -190,7 +190,7 @@ func (s *Server) run(id, view string, req *QueryRequest) (int, any, string) {
 	// dump taken mid-run — the only time dumps happen — already carries the
 	// request identity.
 	cfg.Tracer.Instant(0, obsv.CatPhase, "request", id+" view="+view)
-	cfg.Flight, cfg.FlightDump = obsv.NewFlightRecorder(0, 0), dump
+	cfg.Flight = obsv.NewFlightRecorder(dump)
 
 	var (
 		hit     bool
@@ -266,7 +266,10 @@ func (s *Server) config(view string, req *QueryRequest) *pointsto.Config {
 		Workers:            clampWorkers(rc.Workers, s.cfg.AnalysisWorkers),
 		MaxSteps:           s.cfg.MaxSteps,
 	}
-	if rc.MaxSteps > 0 && (s.cfg.MaxSteps == 0 || rc.MaxSteps < s.cfg.MaxSteps) {
+	if cfg.MaxSteps == 0 {
+		cfg.MaxSteps = pta.DefaultMaxSteps
+	}
+	if rc.MaxSteps > 0 && rc.MaxSteps < cfg.MaxSteps {
 		cfg.MaxSteps = rc.MaxSteps
 	}
 	if rc.StallWindowMS > 0 {

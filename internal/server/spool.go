@@ -39,9 +39,10 @@ func (s *spool) writer(id string) *lazyFile {
 	return &lazyFile{path: s.path(s.dumpName(id))}
 }
 
-// lazyFile creates its file on first Write. It is handed to the engine as
-// Config.FlightDump, which may write from watchdog or worker goroutines
-// while the handler is still running, so writes are serialized.
+// lazyFile creates its file on first Write. It is the writer of the
+// request's flight recorder, which the engine may write from its run
+// monitor or a worker goroutine while the handler is still running, so
+// writes are serialized.
 type lazyFile struct {
 	path string
 

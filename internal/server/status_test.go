@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/pta"
 	"repro/pointsto"
 )
 
@@ -200,6 +201,23 @@ func TestConfigTranslation(t *testing.T) {
 		}
 		if got := s.config(view, req); !reflect.DeepEqual(*got, want) {
 			t.Errorf("%s: config = %+v, want %+v", view, *got, want)
+		}
+	}
+
+	// With no server ceiling (-max-steps 0, the default) the engine default
+	// is the ceiling: a request may lower the budget but not raise it.
+	s, err = New(Config{SpoolDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ ask, want int }{
+		{0, pta.DefaultMaxSteps},
+		{1000, 1000},
+		{2_000_000_000, pta.DefaultMaxSteps},
+	} {
+		req := &QueryRequest{Config: &RequestConfig{MaxSteps: tc.ask}}
+		if got := s.config("analyze", req).MaxSteps; got != tc.want {
+			t.Errorf("uncapped server, max_steps %d: budget %d, want %d", tc.ask, got, tc.want)
 		}
 	}
 }

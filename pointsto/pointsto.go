@@ -62,24 +62,17 @@ type Config struct {
 	// subtrees at once: 0 means GOMAXPROCS, 1 forces serial. Results are
 	// bit-identical for every worker count.
 	Workers int
-	// Trace records a structured execution trace (invocation-graph node
-	// evaluations, map/unmap, basic statements, fixed-point iterations,
-	// fan-out branches on spare workers) retrievable from Analysis.Tracer and exportable
-	// with WriteChromeTrace / WriteTraceJSONL. Tracing never changes
-	// analysis results.
-	Trace bool
-	// TraceBuffer bounds the per-shard trace ring in events (0 means the
-	// default). On overflow the oldest events are dropped, never blocking
-	// the analysis; the drop count is reported in Result.Metrics.
-	TraceBuffer int
-	// Tracer, when non-nil, is a caller-supplied tracer the run emits its
-	// spans into, taking precedence over Trace/TraceBuffer. This is the
-	// request-scoped tracing path: a server opens its own span (stamped
-	// with the request ID) on the tracer around the analysis, so the flight
-	// record and trace exports carry the request identity.
+	// Tracer, when non-nil, records a structured execution trace of the
+	// run (invocation-graph node evaluations, map/unmap, basic statements,
+	// fixed-point iterations, fan-out branches on spare workers) into the
+	// caller's tracer, exportable with WriteChromeTrace / WriteTraceJSONL;
+	// its ring accounting appears in Result.Metrics. A server opens its own
+	// span (stamped with the request ID) on the tracer around the analysis,
+	// so the flight record and trace exports carry the request identity.
+	// Tracing never changes analysis results.
 	Tracer *obsv.Tracer
 	// MaxSteps bounds basic-statement evaluations as a runaway guard
-	// (0 means the engine default of 50 million).
+	// (0 means pta.DefaultMaxSteps).
 	MaxSteps int
 	// Metrics, when non-nil, is the live registry the analysis reports
 	// through, so an in-flight run can be scraped (obsv.RegisterMetrics /
@@ -87,14 +80,13 @@ type Config struct {
 	// so a second run through the same registry would double-account.
 	Metrics *obsv.Metrics
 	// Flight attaches the always-on flight recorder: bounded last-N spans
-	// plus periodic progress samples, dumped to FlightDump when the run
+	// plus progress samples, dumped to the recorder's writer when the run
 	// panics, exceeds MaxSteps, or stalls.
 	Flight *obsv.FlightRecorder
-	// FlightDump receives flight-record and stall dumps (default stderr).
-	FlightDump io.Writer
 	// StallWindow arms the stall watchdog: after this long without step
-	// progress the engine emits a warning, dumps goroutine stacks and the
-	// flight record, and — with StallKill — aborts the run.
+	// progress the engine emits a warning, writes goroutine stacks and the
+	// flight record to the recorder's writer (stderr without one), and —
+	// with StallKill — aborts the run.
 	StallWindow time.Duration
 	// StallKill makes a detected stall abort the analysis with an error.
 	StallKill bool
@@ -138,15 +130,10 @@ func (c *Config) options() (pta.Options, error) {
 	o.ContextInsensitive = c.ContextInsensitive
 	o.ShareContexts = c.ShareContexts
 	o.Workers = c.Workers
-	if c.Tracer != nil {
-		o.Tracer = c.Tracer
-	} else if c.Trace {
-		o.Tracer = obsv.NewTracer(0, c.TraceBuffer)
-	}
+	o.Tracer = c.Tracer
 	o.MaxSteps = c.MaxSteps
 	o.Metrics = c.Metrics
 	o.Flight = c.Flight
-	o.FlightDump = c.FlightDump
 	o.StallWindow = c.StallWindow
 	o.StallKill = c.StallKill
 	return o, nil
@@ -172,8 +159,8 @@ type Analysis struct {
 	Result *pta.Result
 	// Program is the simplified (SIMPLE) program.
 	Program *simple.Program
-	// Tracer holds the execution trace when Config.Trace was set, nil
-	// otherwise.
+	// Tracer is Config.Tracer, which holds the execution trace of the run;
+	// nil when the run was untraced.
 	Tracer *obsv.Tracer
 	// Source is the C source text when the analysis came in through
 	// AnalyzeSource, "" otherwise. Taint() scans it for sanitizer pragmas.
@@ -189,19 +176,19 @@ func (a *Analysis) Metrics() *obsv.MetricsSnapshot { return a.Result.Metrics }
 
 // WriteChromeTrace exports the execution trace in Chrome trace_event JSON
 // form, loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. The
-// analysis must have been run with Config.Trace.
+// analysis must have been run with Config.Tracer.
 func (a *Analysis) WriteChromeTrace(w io.Writer) error {
 	if a.Tracer == nil {
-		return fmt.Errorf("pointsto: analysis was not traced (set Config.Trace)")
+		return fmt.Errorf("pointsto: analysis was not traced (set Config.Tracer)")
 	}
 	return obsv.WriteChromeTrace(w, a.Tracer)
 }
 
 // WriteTraceJSONL exports the execution trace as a JSON-lines stream, one
-// event per line. The analysis must have been run with Config.Trace.
+// event per line. The analysis must have been run with Config.Tracer.
 func (a *Analysis) WriteTraceJSONL(w io.Writer) error {
 	if a.Tracer == nil {
-		return fmt.Errorf("pointsto: analysis was not traced (set Config.Trace)")
+		return fmt.Errorf("pointsto: analysis was not traced (set Config.Tracer)")
 	}
 	return obsv.WriteJSONL(w, a.Tracer)
 }

@@ -222,8 +222,7 @@ func TestConfigReuseIndependentSnapshots(t *testing.T) {
 		// Fresh per-run attachments, the way a server installs them for
 		// each request.
 		cfg.Metrics = obsv.NewMetrics()
-		cfg.Flight = obsv.NewFlightRecorder(0, 0)
-		cfg.FlightDump = io.Discard
+		cfg.Flight = obsv.NewFlightRecorder(io.Discard)
 		a, err := AnalyzeSource("fig6.c", figure6, cfg)
 		if err != nil {
 			t.Fatal(err)
