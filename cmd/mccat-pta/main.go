@@ -58,7 +58,8 @@
 //	-watchdog D     arm the stall watchdog: after D without step progress,
 //	                dump goroutine stacks plus the flight record to stderr
 //	-watchdog-kill  make a detected stall abort the analysis
-//	-max-steps N    basic-statement evaluation budget (0 = engine default)
+//	-max-steps N    basic-statement evaluation budget (0 = engine default;
+//	                negative is a usage error)
 //	-log-json       write stderr diagnostics as JSON log lines
 //	-log-level L    stderr log level: debug|info|warn|error
 package main
@@ -163,6 +164,10 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	var queryFlags multiFlag
 	fs.Var(&queryFlags, "query", "answer the points-to query \"file:line[:col]:var\" (repeatable)")
 	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	if *maxSteps < 0 {
+		fmt.Fprintln(stderr, "mccat-pta: -max-steps must not be negative")
 		return 2
 	}
 	lg, err := obsv.NewLogger(stderr, obsv.LogOptions{JSON: *logJSON, Level: *logLevel})

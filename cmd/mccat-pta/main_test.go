@@ -76,6 +76,15 @@ func TestUsageExitCode(t *testing.T) {
 	}
 }
 
+// TestNegativeMaxStepsIsUsageError: a negative step budget is rejected as
+// a usage error before any analysis runs.
+func TestNegativeMaxStepsIsUsageError(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "-bench", "hash", "-max-steps", "-1")
+	if code != 2 || stdout != "" || !strings.Contains(stderr, "-max-steps") {
+		t.Errorf("-max-steps -1: code=%d stdout=%q stderr=%q, want 2 naming the flag", code, stdout, stderr)
+	}
+}
+
 // TestLogFlags checks the structured-logging wiring: -log-json turns the
 // fatal path into a JSON log line, and a bad -log-level is a usage error.
 func TestLogFlags(t *testing.T) {

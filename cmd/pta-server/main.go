@@ -25,7 +25,8 @@
 //	-workers N            per-analysis worker cap (0 = GOMAXPROCS)
 //	-spool DIR            flight-record spool directory
 //	-max-source-bytes N   request body limit (0 = 8 MiB)
-//	-max-steps N          per-request step-budget ceiling (0 = engine default)
+//	-max-steps N          per-request step-budget ceiling (0 = engine default;
+//	                      negative is a usage error)
 //	-log-json             access log as JSON lines (default true)
 //	-log-level L          debug|info|warn|error (default info)
 //	-drain-timeout D      graceful-shutdown drain budget (default 30s)
@@ -70,6 +71,10 @@ func run(argv []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		drain    = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	)
 	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	if *maxSteps < 0 {
+		fmt.Fprintln(stderr, "pta-server: -max-steps must not be negative")
 		return 2
 	}
 	log, err := obsv.NewLogger(stderr, obsv.LogOptions{JSON: *logJSON, Level: *logLevel})

@@ -126,6 +126,20 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// TestNegativeMaxStepsIsUsageError: a negative step-budget ceiling is a
+// usage error, not a server that reports ready and fails every request.
+// The shutdown signal is already queued, so a regression returns promptly.
+func TestNegativeMaxStepsIsUsageError(t *testing.T) {
+	var out bytes.Buffer
+	errb := &syncBuffer{}
+	sigs := make(chan os.Signal, 1)
+	sigs <- os.Interrupt
+	code := run([]string{"-addr", "127.0.0.1:0", "-spool", t.TempDir(), "-max-steps", "-1"}, &out, errb, sigs)
+	if code != 2 || out.Len() != 0 || !strings.Contains(errb.String(), "-max-steps") {
+		t.Errorf("-max-steps -1: code=%d stdout=%q stderr=%q, want 2 naming the flag", code, out.String(), errb.String())
+	}
+}
+
 func TestListenFailure(t *testing.T) {
 	var out bytes.Buffer
 	errb := &syncBuffer{}

@@ -4,23 +4,26 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/perf"
 )
 
-// writeReport generates a real perf report for one small benchmark and
-// writes it to dir, returning the path and the parsed report for mutation.
-func writeReport(t *testing.T, dir, name string, mutate func(*perf.PerfReport)) string {
+// perfReport generates a real perf report for one small benchmark.
+func perfReport(t *testing.T) *perf.PerfReport {
 	t.Helper()
 	rep, err := perf.RunPerf([]string{"hash"}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mutate != nil {
-		mutate(rep)
-	}
+	return rep
+}
+
+// writeReport writes a report to dir and returns the path.
+func writeReport(t *testing.T, dir, name string, rep *perf.PerfReport) string {
+	t.Helper()
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +40,8 @@ func writeReport(t *testing.T, dir, name string, mutate func(*perf.PerfReport)) 
 // thresholds let it pass again.
 func TestCompareGate(t *testing.T) {
 	dir := t.TempDir()
-	old := writeReport(t, dir, "old.json", nil)
+	base := perfReport(t)
+	old := writeReport(t, dir, "old.json", base)
 
 	// Self-comparison passes.
 	stdout, stderr, code := runCLI(t, "-compare", old, old)
@@ -48,12 +52,15 @@ func TestCompareGate(t *testing.T) {
 		t.Errorf("missing pass line:\n%s", stdout)
 	}
 
-	// A 2x step-count regression fails the gate.
-	bad := writeReport(t, dir, "bad.json", func(r *perf.PerfReport) {
-		for i := range r.Programs {
-			r.Programs[i].Steps *= 2
-		}
-	})
+	// A 2x step-count regression fails the gate. The regressed report is
+	// a copy of the old one, so only the steps differ: a second live run
+	// would differ in wall times too and make the gate timing-dependent.
+	regressed := *base
+	regressed.Programs = slices.Clone(base.Programs)
+	for i := range regressed.Programs {
+		regressed.Programs[i].Steps *= 2
+	}
+	bad := writeReport(t, dir, "bad.json", &regressed)
 	stdout, stderr, code = runCLI(t, "-compare", old, bad)
 	if code != 1 {
 		t.Fatalf("regressed compare exit %d, want 1\nstdout:\n%s", code, stdout)
@@ -76,15 +83,15 @@ func TestCompareGate(t *testing.T) {
 // checks the cross-host warning path.
 func TestCompareHostMismatchWarns(t *testing.T) {
 	dir := t.TempDir()
-	old := writeReport(t, dir, "old.json", func(r *perf.PerfReport) {
-		r.Host.NumCPU = r.Host.NumCPU + 64
-		// Wall times from the "other host" are absurd; the gate must warn
-		// and skip them rather than fail.
-		for i := range r.Programs {
-			r.Programs[i].WallSerialMS /= 100
-		}
-	})
-	nw := writeReport(t, dir, "new.json", nil)
+	r := perfReport(t)
+	r.Host.NumCPU = r.Host.NumCPU + 64
+	// Wall times from the "other host" are absurd; the gate must warn and
+	// skip them rather than fail.
+	for i := range r.Programs {
+		r.Programs[i].WallSerialMS /= 100
+	}
+	old := writeReport(t, dir, "old.json", r)
+	nw := writeReport(t, dir, "new.json", perfReport(t))
 	stdout, stderr, code := runCLI(t, "-compare", old, nw)
 	if code != 0 {
 		t.Fatalf("cross-host compare exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)

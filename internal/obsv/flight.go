@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 )
@@ -106,7 +107,7 @@ func (f *FlightRecorder) Sample() {
 		At:        time.Since(f.bound),
 		Steps:     m.Steps.Load(),
 		NodeEvals: m.NodeEvals.Load(),
-		PeakSet:   m.PeakSet.Load(),
+		PeakSet:   m.Cardinality.max.Load(),
 	})
 	f.total++
 }
@@ -133,10 +134,14 @@ func (f *FlightRecorder) Dump(w io.Writer, cause string) error {
 		return err
 	}
 	fmt.Fprintf(w, "elapsed: %s\n", time.Since(bound).Round(time.Millisecond))
-	fmt.Fprintf(w, "counters: steps=%d node_evals=%d memo=%d/%d fixpoint_iters=%d pending_restarts=%d sched=%d/%d peak_set=%d\n",
-		m.Steps.Load(), m.NodeEvals.Load(), m.MemoHits.Load(), m.MemoMisses.Load(),
-		m.FixpointIters.Load(), m.PendingRestarts.Load(),
-		m.SchedTasks.Load(), m.SchedSteals.Load(), m.PeakSet.Load())
+	// One write per line, like the rest of the record.
+	var counters strings.Builder
+	for _, d := range metricDefs {
+		if d.counter != nil {
+			fmt.Fprintf(&counters, " %s=%d", d.key, d.counter(m).Load())
+		}
+	}
+	fmt.Fprintf(w, "counters:%s peak_set=%d\n", counters.String(), m.Cardinality.max.Load())
 
 	if len(samples) > 0 {
 		fmt.Fprintf(w, "progress samples (%d taken, last %d kept):\n", total, len(samples))

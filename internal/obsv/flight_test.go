@@ -80,12 +80,20 @@ func TestFlightRecorderDump(t *testing.T) {
 
 	m.Steps.Add(42)
 	m.NodeEvals.Add(7)
+	m.MemoHits.Add(9)
+	m.MemoMisses.Add(95)
+	// The peak set is the cardinality histogram's maximum.
+	m.Cardinality.Observe(116)
+	m.Cardinality.Observe(3)
 	// Overfill the span ring so Dump shows only the most recent spans.
 	tk := tr.NewTrack()
 	for i := 0; i < flightSpanCap+10; i++ {
 		tr.Begin(tk, CatNode, "eval", "fn").End()
 	}
 	f.Sample()
+	if got := f.samples[0].PeakSet; got != 116 {
+		t.Errorf("sample peak = %d, want 116", got)
+	}
 
 	var b bytes.Buffer
 	if err := f.Dump(&b, "unit test"); err != nil {
@@ -94,8 +102,10 @@ func TestFlightRecorderDump(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"=== flight record: unit test ===",
-		"steps=42",
-		"node_evals=7",
+		// Every registry counter, named by its JSON key.
+		"counters: steps=42 node_evals=7 memo_hits=9 memo_misses=95 shared_hits=0 map_ops=0 unmap_ops=0 " +
+			"fixpoint_iters=0 pending_restarts=0 sched_tasks=0 sched_steals=0 loc_contended=0 " +
+			"demand_facts_kept=0 facts_pruned=0 peak_set=116\n",
 		"progress samples (1 taken, last 1 kept)",
 		fmt.Sprintf("last %d spans", flightSpanCap),
 		"eval",

@@ -20,11 +20,11 @@ func (c *Counter) Add(n int64) int64 { return c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// MaxGauge tracks the maximum value ever observed.
-type MaxGauge struct{ v atomic.Int64 }
+// maxGauge tracks the maximum value ever observed.
+type maxGauge struct{ v atomic.Int64 }
 
 // Observe raises the gauge to n if n exceeds the current maximum.
-func (g *MaxGauge) Observe(n int64) {
+func (g *maxGauge) Observe(n int64) {
 	for {
 		cur := g.v.Load()
 		if n <= cur || g.v.CompareAndSwap(cur, n) {
@@ -34,7 +34,7 @@ func (g *MaxGauge) Observe(n int64) {
 }
 
 // Load returns the maximum observed so far.
-func (g *MaxGauge) Load() int64 { return g.v.Load() }
+func (g *maxGauge) Load() int64 { return g.v.Load() }
 
 // histBuckets is the number of power-of-two histogram buckets: bucket i
 // counts observations v with bits.Len64(v) == i, i.e. 2^(i-1) <= v < 2^i
@@ -47,7 +47,7 @@ const histBuckets = 33
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
-	max     MaxGauge
+	max     maxGauge
 	buckets [histBuckets]atomic.Int64
 }
 
@@ -178,59 +178,105 @@ type FuncCostSnapshot struct {
 	WallMS        float64 `json:"wall_ms"`
 }
 
-// Metrics is the typed metrics registry of one analysis run. The hot-path
-// instruments are plain struct fields updated atomically; the per-function
-// table is behind a mutex (touched only per node evaluation, never per
-// statement).
+// Metrics is the typed metrics registry of one analysis run. The hot path
+// updates its counters atomically (a.m.Steps.Inc()); each fills the
+// MetricsSnapshot field of the same name, and metricDefs declares what it
+// measures and how it is exported. The per-function table is behind a
+// mutex (touched only per node evaluation, never per statement).
 type Metrics struct {
-	// Steps counts basic-statement transfer-function evaluations.
-	Steps Counter
-	// MemoHits / MemoMisses count input-keyed summary-cache lookups on
-	// invocation-graph nodes.
-	MemoHits, MemoMisses Counter
-	// SharedHits counts global summary-cache reuses (Options.ShareContexts).
-	SharedHits Counter
-	// NodeEvals counts invocation-graph node body evaluations (memo and
-	// recursion-approximation hits excluded).
-	NodeEvals Counter
-	// MapOps / UnmapOps count map_process / unmap_process operations.
-	MapOps, UnmapOps Counter
-	// FixpointIters counts recursion fixed-point iterations beyond each
-	// node evaluation's first pass.
-	FixpointIters Counter
-	// PendingRestarts counts pending-list generalization restarts of
-	// recursive fixed points (input widened, evaluation restarted).
-	PendingRestarts Counter
-	// SchedTasks counts the branches of every parallel fan-out (indirect
-	// call targets, if/else splits, thread spawns) of a run with more than
-	// one worker.
-	SchedTasks Counter
-	// SchedSteals counts fan-out branches that ran on a spare worker track,
-	// that is, on a goroutine other than the one that forked them.
-	SchedSteals Counter
-	// LocContended counts location-table lock acquisitions that had to
-	// wait; the analysis adds the table's count when the run ends.
-	LocContended Counter
-	// PeakSet is the largest points-to set flowing into any statement.
-	// The analysis hot path does not update it directly — Cardinality's
-	// internal maximum covers it — but it remains for observations that
-	// bypass the histogram; Snapshot reports the larger of the two.
-	PeakSet MaxGauge
-	// Cardinality is the distribution of points-to set sizes flowing into
-	// basic statements.
-	Cardinality Histogram
+	// LocContended is added from the location table when the run ends,
+	// so it reads 0 mid-run.
+	Steps, NodeEvals, MemoHits, MemoMisses, SharedHits Counter
+	MapOps, UnmapOps, FixpointIters, PendingRestarts   Counter
+	SchedTasks, SchedSteals, LocContended              Counter
+	DemandFactsKept, FactsPruned                       Counter
 
-	// Demand-mode accounting (zero in exhaustive runs): DemandFactsKept
-	// counts triples recorded at seeded statements, FactsPruned counts
-	// triples dropped because their source variable was dead, and
+	// Cardinality is the distribution of points-to set sizes flowing into
+	// basic statements; its maximum is the snapshot's peak set.
+	Cardinality Histogram
 	// LiveVars is the distribution of live tracked-variable counts at
-	// statement inputs.
-	DemandFactsKept Counter
-	FactsPruned     Counter
-	LiveVars        Histogram
+	// statement inputs (demand mode only).
+	LiveVars Histogram
 
 	mu    sync.Mutex
 	funcs map[string]*FuncCost
+}
+
+// metricDef declares one scalar family of the engine, once: Merge,
+// Snapshot, WritePrometheusSnapshot and the flight record's counters line
+// loop over metricDefs, and a test checks EXPERIMENTS.md's metrics
+// reference against it.
+type metricDef struct {
+	// key is the MetricsSnapshot JSON key. The Prometheus family is
+	// pta_<key>, with a _total suffix for a counter.
+	key  string
+	typ  string // Prometheus type: "counter" or "gauge"
+	help string
+	// skipZero omits the family from the Prometheus text while it is zero.
+	skipZero bool
+	// counter is the registry counter a run adds to, nil for a value the
+	// snapshot derives or the analysis fills in afterwards.
+	counter func(*Metrics) *Counter
+	// field is the MetricsSnapshot field the row fills; ratio replaces it
+	// for the one fractional family.
+	field func(*MetricsSnapshot) *int64
+	ratio func(*MetricsSnapshot) float64
+}
+
+// metricDefs is the scalar family table, in Prometheus exposition order.
+var metricDefs = []metricDef{
+	{"steps", "counter", "Basic-statement transfer-function evaluations.", false,
+		func(m *Metrics) *Counter { return &m.Steps }, func(s *MetricsSnapshot) *int64 { return &s.Steps }, nil},
+	{"node_evals", "counter", "Invocation-graph node body evaluations (memo hits excluded).", false,
+		func(m *Metrics) *Counter { return &m.NodeEvals }, func(s *MetricsSnapshot) *int64 { return &s.NodeEvals }, nil},
+	{"memo_hits", "counter", "Input-keyed summary-cache hits on invocation-graph nodes.", false,
+		func(m *Metrics) *Counter { return &m.MemoHits }, func(s *MetricsSnapshot) *int64 { return &s.MemoHits }, nil},
+	{"memo_misses", "counter", "Input-keyed summary-cache misses on invocation-graph nodes.", false,
+		func(m *Metrics) *Counter { return &m.MemoMisses }, func(s *MetricsSnapshot) *int64 { return &s.MemoMisses }, nil},
+	{"shared_hits", "counter", "Global shared-summary cache reuses (ShareContexts).", true,
+		func(m *Metrics) *Counter { return &m.SharedHits }, func(s *MetricsSnapshot) *int64 { return &s.SharedHits }, nil},
+	{"map_ops", "counter", "map_process operations at call sites.", false,
+		func(m *Metrics) *Counter { return &m.MapOps }, func(s *MetricsSnapshot) *int64 { return &s.MapOps }, nil},
+	{"unmap_ops", "counter", "unmap_process operations at call sites.", false,
+		func(m *Metrics) *Counter { return &m.UnmapOps }, func(s *MetricsSnapshot) *int64 { return &s.UnmapOps }, nil},
+	{"fixpoint_iters", "counter", "Recursion fixed-point iterations beyond each first pass.", false,
+		func(m *Metrics) *Counter { return &m.FixpointIters }, func(s *MetricsSnapshot) *int64 { return &s.FixpointIters }, nil},
+	{"pending_restarts", "counter", "Pending-list generalization restarts of recursive fixed points.", false,
+		func(m *Metrics) *Counter { return &m.PendingRestarts }, func(s *MetricsSnapshot) *int64 { return &s.PendingRestarts }, nil},
+	{"sched_tasks", "counter", "Branches of parallel fan-outs at more than one worker.", false,
+		func(m *Metrics) *Counter { return &m.SchedTasks }, func(s *MetricsSnapshot) *int64 { return &s.SchedTasks }, nil},
+	{"sched_steals", "counter", "Fan-out branches that ran on a spare worker track.", false,
+		func(m *Metrics) *Counter { return &m.SchedSteals }, func(s *MetricsSnapshot) *int64 { return &s.SchedSteals }, nil},
+	{"loc_contended", "counter", "Location-table lock acquisitions that had to wait.", false,
+		func(m *Metrics) *Counter { return &m.LocContended }, func(s *MetricsSnapshot) *int64 { return &s.LocContended }, nil},
+	{"trace_emitted", "counter", "Trace events recorded into the ring buffers.", true,
+		nil, func(s *MetricsSnapshot) *int64 { return &s.TraceEmitted }, nil},
+	{"trace_dropped", "counter", "Trace events lost to ring-buffer overflow.", true,
+		nil, func(s *MetricsSnapshot) *int64 { return &s.TraceDropped }, nil},
+	{"demand_facts_kept", "counter", "Demand mode: points-to triples recorded at seeded statements.", true,
+		func(m *Metrics) *Counter { return &m.DemandFactsKept }, func(s *MetricsSnapshot) *int64 { return &s.DemandFactsKept }, nil},
+	{"facts_pruned", "counter", "Demand mode: points-to triples dropped for dead source variables.", true,
+		func(m *Metrics) *Counter { return &m.FactsPruned }, func(s *MetricsSnapshot) *int64 { return &s.FactsPruned }, nil},
+	{"peak_set", "gauge", "Largest points-to set flowing into any statement.", false,
+		nil, func(s *MetricsSnapshot) *int64 { return &s.PeakSet }, nil},
+	{"memo_hit_rate", "gauge", "Memo hits over memo lookups, 0 when cold.", false,
+		nil, nil, func(s *MetricsSnapshot) float64 { return s.MemoHitRate }},
+}
+
+// family is the row's Prometheus family name.
+func (d *metricDef) family() string {
+	if d.typ == "counter" {
+		return "pta_" + d.key + "_total"
+	}
+	return "pta_" + d.key
+}
+
+// value reads the row's snapshot value.
+func (d *metricDef) value(s *MetricsSnapshot) float64 {
+	if d.ratio != nil {
+		return d.ratio(s)
+	}
+	return float64(*d.field(s))
 }
 
 // NewMetrics returns an empty registry.
@@ -260,30 +306,20 @@ func (m *Metrics) Func(name string) *FuncCost {
 // long-running server aggregates per-request registries into monotone
 // process totals scraped at /metrics: each request runs against its own
 // fresh registry (isolation), and its end-of-run snapshot is added here.
-// Counters add, the peak gauge takes the maximum, the cardinality histogram
-// merges bucket-exact, and the per-function cost table accumulates by name.
-// Snapshot-only fields the registry has no instrument for (trace
-// accounting) are not aggregated. Safe for concurrent use.
+// Every registry counter adds, the histograms merge bucket-exact (so the
+// peak set is the largest merged), and the per-function cost table
+// accumulates by name. Snapshot-only fields the registry has no counter
+// for (trace accounting) are not aggregated. Safe for concurrent use.
 func (m *Metrics) Merge(s *MetricsSnapshot) {
 	if s == nil {
 		return
 	}
-	m.Steps.Add(s.Steps)
-	m.MemoHits.Add(s.MemoHits)
-	m.MemoMisses.Add(s.MemoMisses)
-	m.SharedHits.Add(s.SharedHits)
-	m.NodeEvals.Add(s.NodeEvals)
-	m.MapOps.Add(s.MapOps)
-	m.UnmapOps.Add(s.UnmapOps)
-	m.FixpointIters.Add(s.FixpointIters)
-	m.PendingRestarts.Add(s.PendingRestarts)
-	m.SchedTasks.Add(s.SchedTasks)
-	m.SchedSteals.Add(s.SchedSteals)
-	m.LocContended.Add(s.LocContended)
-	m.PeakSet.Observe(s.PeakSet)
+	for _, d := range metricDefs {
+		if d.counter != nil {
+			d.counter(m).Add(*d.field(s))
+		}
+	}
 	m.Cardinality.Merge(s.Cardinality)
-	m.DemandFactsKept.Add(s.DemandFactsKept)
-	m.FactsPruned.Add(s.FactsPruned)
 	m.LiveVars.Merge(s.LiveVars)
 	for _, f := range s.Funcs {
 		fc := m.Func(f.Name)
@@ -347,8 +383,8 @@ type MetricsSnapshot struct {
 	// TraceEmitted / TraceDropped report the ring activity of the caller's
 	// tracer (trace_dropped is the overflow loss); both are 0 when the run
 	// was untraced, whatever the flight recorder's own ring kept.
-	TraceEmitted uint64 `json:"trace_emitted,omitempty"`
-	TraceDropped uint64 `json:"trace_dropped,omitempty"`
+	TraceEmitted int64 `json:"trace_emitted,omitempty"`
+	TraceDropped int64 `json:"trace_dropped,omitempty"`
 
 	// Demand-mode accounting (absent in exhaustive runs): facts recorded
 	// at seeded statements, facts pruned as dead, and the distribution
@@ -373,27 +409,15 @@ type MetricsSnapshot struct {
 // analysis has quiesced; the snapshot is immutable.
 func (m *Metrics) Snapshot() *MetricsSnapshot {
 	s := &MetricsSnapshot{
-		Steps:           m.Steps.Load(),
-		MemoHits:        m.MemoHits.Load(),
-		MemoMisses:      m.MemoMisses.Load(),
-		SharedHits:      m.SharedHits.Load(),
-		NodeEvals:       m.NodeEvals.Load(),
-		MapOps:          m.MapOps.Load(),
-		UnmapOps:        m.UnmapOps.Load(),
-		FixpointIters:   m.FixpointIters.Load(),
-		PendingRestarts: m.PendingRestarts.Load(),
-		SchedTasks:      m.SchedTasks.Load(),
-		SchedSteals:     m.SchedSteals.Load(),
-		LocContended:    m.LocContended.Load(),
-		PeakSet:         m.PeakSet.Load(),
-		Cardinality:     m.Cardinality.Snapshot(),
-		DemandFactsKept: m.DemandFactsKept.Load(),
-		FactsPruned:     m.FactsPruned.Load(),
-		LiveVars:        m.LiveVars.Snapshot(),
+		Cardinality: m.Cardinality.Snapshot(),
+		LiveVars:    m.LiveVars.Snapshot(),
 	}
-	if s.Cardinality.Max > s.PeakSet {
-		s.PeakSet = s.Cardinality.Max
+	for _, d := range metricDefs {
+		if d.counter != nil {
+			*d.field(s) = d.counter(m).Load()
+		}
 	}
+	s.PeakSet = s.Cardinality.Max
 	if lookups := s.MemoHits + s.MemoMisses; lookups > 0 {
 		s.MemoHitRate = float64(s.MemoHits) / float64(lookups)
 	}

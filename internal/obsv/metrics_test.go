@@ -1,6 +1,10 @@
 package obsv
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -59,7 +63,6 @@ func TestMetricsConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				m.Steps.Inc()
 				m.MemoHits.Add(2)
-				m.PeakSet.Observe(int64(i))
 				m.Cardinality.Observe(int64(i % 37))
 				if i%100 == 0 {
 					m.Func("f").Evals.Inc()
@@ -75,8 +78,8 @@ func TestMetricsConcurrent(t *testing.T) {
 	if s.MemoHits != 2*goroutines*per {
 		t.Errorf("MemoHits = %d, want %d", s.MemoHits, 2*goroutines*per)
 	}
-	if s.PeakSet != per-1 {
-		t.Errorf("PeakSet = %d, want %d", s.PeakSet, per-1)
+	if s.PeakSet != 36 {
+		t.Errorf("PeakSet = %d, want the cardinality maximum 36", s.PeakSet)
 	}
 	if s.Cardinality.Count != goroutines*per {
 		t.Errorf("Cardinality.Count = %d, want %d", s.Cardinality.Count, goroutines*per)
@@ -159,5 +162,79 @@ func TestMetricsMerge(t *testing.T) {
 	}
 	if g := funcs["g"]; g.Evals != 2 || g.WallMS != 2 {
 		t.Errorf("func g cost = %+v", g)
+	}
+}
+
+// TestMergeDoublesEveryCounterRow sets a distinct value on every registry
+// counter of the family table, snapshots it and merges the snapshot twice
+// into a fresh registry: each row must come back doubled, so no row can
+// skip Merge or Snapshot, or read another row's field.
+func TestMergeDoublesEveryCounterRow(t *testing.T) {
+	m := NewMetrics()
+	for i, d := range metricDefs {
+		if d.counter != nil {
+			d.counter(m).Add(int64(i + 1))
+		}
+	}
+	s := m.Snapshot()
+	tot := NewMetrics()
+	tot.Merge(s)
+	tot.Merge(s)
+	got := tot.Snapshot()
+	rows := 0
+	for i, d := range metricDefs {
+		if d.counter == nil {
+			continue
+		}
+		rows++
+		if v := *d.field(got); v != 2*int64(i+1) {
+			t.Errorf("%s merged twice = %d, want %d", d.key, v, 2*(i+1))
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no family has a registry counter")
+	}
+}
+
+// TestExperimentsMetricsReference checks the Exported metrics reference
+// table of EXPERIMENTS.md against the declarations: its unlabelled rows
+// must name the scalar families of metricDefs and then the two histograms,
+// with their JSON keys, in order.
+func TestExperimentsMetricsReference(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "## Exported metrics reference")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no Exported metrics reference section")
+	}
+	var got []string
+	inTable := false
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		cells := strings.Split(line, "|")
+		family, key := strings.TrimSpace(cells[1]), strings.TrimSpace(cells[2])
+		if !strings.HasPrefix(family, "`pta_") || strings.Contains(family, "{") {
+			continue // header, separator and labelled series
+		}
+		got = append(got, family+" "+key)
+	}
+	var want []string
+	for _, d := range metricDefs {
+		want = append(want, fmt.Sprintf("`%s` `%s`", d.family(), d.key))
+	}
+	want = append(want,
+		"`pta_set_cardinality` (histogram) `set_cardinality`",
+		"`pta_live_vars` (histogram) `live_vars`")
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("EXPERIMENTS.md metrics reference rows:\n%s\nwant:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -27,57 +27,6 @@ import (
 // by inclusive wall time) to keep label cardinality bounded.
 const promFuncLimit = 20
 
-// promMetric is one scalar family: name, type, help and the value getter.
-type promMetric struct {
-	name     string
-	typ      string // "counter" or "gauge"
-	help     string
-	value    func(s *MetricsSnapshot) float64
-	skipZero bool // omit the family when the value is zero (optional extras)
-}
-
-// promMetrics is the scalar family table. Counters follow the Prometheus
-// convention of a _total suffix; gauges carry none.
-var promMetrics = []promMetric{
-	{"pta_steps_total", "counter", "Basic-statement transfer-function evaluations.",
-		func(s *MetricsSnapshot) float64 { return float64(s.Steps) }, false},
-	{"pta_node_evals_total", "counter", "Invocation-graph node body evaluations (memo hits excluded).",
-		func(s *MetricsSnapshot) float64 { return float64(s.NodeEvals) }, false},
-	{"pta_memo_hits_total", "counter", "Input-keyed summary-cache hits on invocation-graph nodes.",
-		func(s *MetricsSnapshot) float64 { return float64(s.MemoHits) }, false},
-	{"pta_memo_misses_total", "counter", "Input-keyed summary-cache misses on invocation-graph nodes.",
-		func(s *MetricsSnapshot) float64 { return float64(s.MemoMisses) }, false},
-	{"pta_shared_hits_total", "counter", "Global shared-summary cache reuses (ShareContexts).",
-		func(s *MetricsSnapshot) float64 { return float64(s.SharedHits) }, true},
-	{"pta_map_ops_total", "counter", "map_process operations at call sites.",
-		func(s *MetricsSnapshot) float64 { return float64(s.MapOps) }, false},
-	{"pta_unmap_ops_total", "counter", "unmap_process operations at call sites.",
-		func(s *MetricsSnapshot) float64 { return float64(s.UnmapOps) }, false},
-	{"pta_fixpoint_iters_total", "counter", "Recursion fixed-point iterations beyond each first pass.",
-		func(s *MetricsSnapshot) float64 { return float64(s.FixpointIters) }, false},
-	{"pta_pending_restarts_total", "counter", "Pending-list generalization restarts of recursive fixed points.",
-		func(s *MetricsSnapshot) float64 { return float64(s.PendingRestarts) }, false},
-	{"pta_sched_tasks_total", "counter", "Branches of parallel fan-outs at more than one worker.",
-		func(s *MetricsSnapshot) float64 { return float64(s.SchedTasks) }, false},
-	{"pta_sched_steals_total", "counter", "Fan-out branches that ran on a spare worker track.",
-		func(s *MetricsSnapshot) float64 { return float64(s.SchedSteals) }, false},
-	{"pta_loc_contended_total", "counter", "Location-table lock acquisitions that had to wait.",
-		func(s *MetricsSnapshot) float64 { return float64(s.LocContended) }, false},
-	{"pta_trace_emitted_total", "counter", "Trace events recorded into the ring buffers.",
-		func(s *MetricsSnapshot) float64 { return float64(s.TraceEmitted) }, true},
-	{"pta_trace_dropped_total", "counter", "Trace events lost to ring-buffer overflow.",
-		func(s *MetricsSnapshot) float64 { return float64(s.TraceDropped) }, true},
-	{"pta_demand_facts_kept_total", "counter", "Demand mode: points-to triples recorded at seeded statements.",
-		func(s *MetricsSnapshot) float64 { return float64(s.DemandFactsKept) }, true},
-	{"pta_facts_pruned_total", "counter", "Demand mode: points-to triples dropped for dead source variables.",
-		func(s *MetricsSnapshot) float64 { return float64(s.FactsPruned) }, true},
-
-	{"pta_peak_set", "gauge", "Largest points-to set flowing into any statement.",
-		func(s *MetricsSnapshot) float64 { return float64(s.PeakSet) }, false},
-	{"pta_memo_hit_rate", "gauge", "Memo hits over memo lookups, 0 when cold.",
-		func(s *MetricsSnapshot) float64 { return s.MemoHitRate }, false},
-}
-
 // WritePrometheus snapshots a live registry and renders it in Prometheus
 // text format. Safe to call while an analysis is still writing the
 // registry — this is the /metrics scrape path.
@@ -95,13 +44,14 @@ func WritePrometheusSnapshot(w io.Writer, s *MetricsSnapshot) error {
 		return fmt.Errorf("obsv: WritePrometheusSnapshot on nil snapshot")
 	}
 	var b strings.Builder
-	for _, pm := range promMetrics {
-		v := pm.value(s)
-		if pm.skipZero && v == 0 {
+	for _, d := range metricDefs {
+		v := d.value(s)
+		if d.skipZero && v == 0 {
 			continue
 		}
-		writeFamilyHeader(&b, pm.name, pm.typ, pm.help)
-		fmt.Fprintf(&b, "%s %s\n", pm.name, promFloat(v))
+		name := d.family()
+		writeFamilyHeader(&b, name, d.typ, d.help)
+		fmt.Fprintf(&b, "%s %s\n", name, promFloat(v))
 	}
 
 	writeHistogram(&b, "pta_set_cardinality",

@@ -125,7 +125,7 @@ func exercisedMetrics() *Metrics {
 	m.SchedTasks.Add(17)
 	m.SchedSteals.Add(4)
 	m.LocContended.Add(6)
-	m.PeakSet.Observe(99)
+	m.Cardinality.Observe(99)
 	for v := int64(0); v < 20; v++ {
 		m.Cardinality.Observe(v)
 	}
@@ -169,7 +169,7 @@ func TestPrometheusStructure(t *testing.T) {
 		}
 	}
 	if byName["pta_peak_set"][0].value != 99 {
-		t.Errorf("pta_peak_set = %v, want 99 (max of gauge and histogram)", byName["pta_peak_set"][0].value)
+		t.Errorf("pta_peak_set = %v, want 99 (the histogram maximum)", byName["pta_peak_set"][0].value)
 	}
 
 	// Per-function series carry the fn label.

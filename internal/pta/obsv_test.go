@@ -37,8 +37,8 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 					if tr.Emitted() == 0 {
 						t.Errorf("workers=%d traced (cap %d): no events emitted", w, capacity)
 					}
-					if res.Metrics.TraceEmitted != tr.Emitted() ||
-						res.Metrics.TraceDropped != tr.Dropped() {
+					if uint64(res.Metrics.TraceEmitted) != tr.Emitted() ||
+						uint64(res.Metrics.TraceDropped) != tr.Dropped() {
 						t.Errorf("metrics trace accounting %d/%d != tracer %d/%d",
 							res.Metrics.TraceEmitted, res.Metrics.TraceDropped,
 							tr.Emitted(), tr.Dropped())

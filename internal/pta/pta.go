@@ -245,8 +245,8 @@ func Analyze(prog *simple.Program, opts Options) (*Result, error) {
 	// registry.
 	snap := a.m.Snapshot()
 	if opts.Tracer.Enabled() {
-		snap.TraceEmitted = opts.Tracer.Emitted()
-		snap.TraceDropped = opts.Tracer.Dropped()
+		snap.TraceEmitted = int64(opts.Tracer.Emitted())
+		snap.TraceDropped = int64(opts.Tracer.Dropped())
 	}
 	res.Metrics = snap
 	return res, nil

@@ -47,7 +47,8 @@ type Config struct {
 	// MaxSourceBytes bounds a request body (0 means 8 MiB).
 	MaxSourceBytes int64
 	// MaxSteps is the per-request step-budget ceiling (0 means the engine
-	// default); requests may lower it but not raise it.
+	// default, negative is an error); requests may lower it but not raise
+	// it.
 	MaxSteps int
 	// Logger receives the access log and server events (nil means a JSON
 	// logger on io.Discard).
@@ -90,6 +91,9 @@ type Server struct {
 // New validates the config and builds a Server (not yet listening, not yet
 // warmed up).
 func New(cfg Config) (*Server, error) {
+	if cfg.MaxSteps < 0 {
+		return nil, fmt.Errorf("server: negative MaxSteps %d", cfg.MaxSteps)
+	}
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = runtime.GOMAXPROCS(0)
 	}
@@ -241,6 +245,11 @@ func (s *Server) Warmup() error {
 	return nil
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that never finishes them cannot hold the
+// connection open.
+const readHeaderTimeout = 10 * time.Second
+
 // Start listens on addr and serves in a background goroutine, returning the
 // bound address (useful with ":0"). Warmup is launched asynchronously, so
 // the socket answers /healthz immediately and /readyz flips once the
@@ -251,7 +260,7 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 		return nil, err
 	}
 	s.listener = l
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		if err := s.srv.Serve(l); err != nil && err != http.ErrServerClosed {
 			s.log.Error("serve", "err", err)

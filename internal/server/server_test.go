@@ -301,6 +301,27 @@ func TestMetricsEndpointCombined(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNegativeMaxSteps: a negative ceiling would fail every
+// request with an abort after warmup passed, so New refuses it.
+func TestNewRejectsNegativeMaxSteps(t *testing.T) {
+	if _, err := New(Config{SpoolDir: t.TempDir(), MaxSteps: -1}); err == nil {
+		t.Error("New accepted MaxSteps -1")
+	}
+}
+
+// TestStartBoundsHeaderReads: the listening server bounds how long a
+// client may take to send its request headers.
+func TestStartBoundsHeaderReads(t *testing.T) {
+	s, _, _ := newTestServer(t)
+	if _, err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(t.Context())
+	if got := s.srv.ReadHeaderTimeout; got != readHeaderTimeout || got <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", got, readHeaderTimeout)
+	}
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	s, _, _ := newTestServer(t)
 	addr, err := s.Start("127.0.0.1:0")

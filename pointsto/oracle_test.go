@@ -1,0 +1,68 @@
+package pointsto_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/pta"
+	"repro/internal/ptagen"
+	"repro/internal/simple"
+	"repro/internal/testutil"
+	"repro/pointsto"
+)
+
+// TestOracleGolden pins what the exhaustive engine computes, the oracle
+// every other mode is compared with: for the 17 suite programs, livc and
+// the gen-check program (ptagen -preset mid -depth 3 -width 3 -seed 1), the
+// SHA-256 of pta.Fingerprint, the recorded facts and the engine counters of
+// a serial run, as AnalyzeProgram configures an exhaustive run. The
+// fingerprint must also be the same at 2 and 8 workers. Rewrite the golden
+// with -update; any change to it is a change to the analysis's output.
+func TestOracleGolden(t *testing.T) {
+	type program struct {
+		name string
+		prog *simple.Program
+	}
+	var progs []program
+	for _, name := range bench.Names() {
+		prog, err := bench.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, program{name, prog})
+	}
+	cfg := ptagen.Presets["mid"]
+	cfg.Depth, cfg.Width, cfg.Seed = 3, 3, 1
+	prog, meta, err := ptagen.Load(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs = append(progs, program{meta.Name, prog})
+
+	var sb strings.Builder
+	for _, p := range progs {
+		var serial string
+		for _, w := range []int{1, 2, 8} {
+			a, err := pointsto.AnalyzeProgram(p.prog, &pointsto.Config{Workers: w})
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", p.name, w, err)
+			}
+			fp := fmt.Sprintf("%x", sha256.Sum256([]byte(pta.Fingerprint(a.Result))))
+			if w > 1 {
+				if fp != serial {
+					t.Errorf("%s: fingerprint at %d workers %s, serial %s", p.name, w, fp, serial)
+				}
+				continue
+			}
+			serial = fp
+			m := a.Result.Metrics
+			fmt.Fprintf(&sb, "%s fingerprint_sha256=%s facts=%d steps=%d memo_hits=%d memo_misses=%d node_evals=%d peak_set=%d\n",
+				p.name, fp, a.Result.Annots.TotalFacts(), m.Steps, m.MemoHits, m.MemoMisses, m.NodeEvals, m.PeakSet)
+		}
+	}
+	testutil.Golden(t, filepath.Join("testdata", "oracle.golden"), sb.String())
+}
