@@ -427,8 +427,12 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	}
 	if *demand {
 		m := a.Metrics()
+		var liveP50 int64
+		if m.LiveVars != nil {
+			liveP50 = m.LiveVars.P50
+		}
 		fmt.Fprintf(stdout, "demand: %d facts kept at seeded statements, %d pruned, live vars p50 %d\n",
-			m.DemandFactsKept, m.FactsPruned, m.LiveVars.P50)
+			m.DemandFactsKept, m.FactsPruned, liveP50)
 		any = true
 	}
 	if *doPts || !any {

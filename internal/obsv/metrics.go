@@ -320,7 +320,9 @@ func (m *Metrics) Merge(s *MetricsSnapshot) {
 		}
 	}
 	m.Cardinality.Merge(s.Cardinality)
-	m.LiveVars.Merge(s.LiveVars)
+	if s.LiveVars != nil {
+		m.LiveVars.Merge(*s.LiveVars)
+	}
 	for _, f := range s.Funcs {
 		fc := m.Func(f.Name)
 		fc.Evals.Add(f.Evals)
@@ -388,10 +390,11 @@ type MetricsSnapshot struct {
 
 	// Demand-mode accounting (absent in exhaustive runs): facts recorded
 	// at seeded statements, facts pruned as dead, and the distribution
-	// of live tracked-variable counts per statement input.
-	DemandFactsKept int64             `json:"demand_facts_kept,omitempty"`
-	FactsPruned     int64             `json:"facts_pruned,omitempty"`
-	LiveVars        HistogramSnapshot `json:"live_vars,omitempty"`
+	// of live tracked-variable counts per statement input (nil when
+	// nothing was observed).
+	DemandFactsKept int64              `json:"demand_facts_kept,omitempty"`
+	FactsPruned     int64              `json:"facts_pruned,omitempty"`
+	LiveVars        *HistogramSnapshot `json:"live_vars,omitempty"`
 
 	// Taint counters, filled by the taint client when it runs over this
 	// result (internal/taint mutates the snapshot in place).
@@ -408,9 +411,9 @@ type MetricsSnapshot struct {
 // Snapshot captures every instrument of the registry. Call it after the
 // analysis has quiesced; the snapshot is immutable.
 func (m *Metrics) Snapshot() *MetricsSnapshot {
-	s := &MetricsSnapshot{
-		Cardinality: m.Cardinality.Snapshot(),
-		LiveVars:    m.LiveVars.Snapshot(),
+	s := &MetricsSnapshot{Cardinality: m.Cardinality.Snapshot()}
+	if lv := m.LiveVars.Snapshot(); lv.Count > 0 {
+		s.LiveVars = &lv
 	}
 	for _, d := range metricDefs {
 		if d.counter != nil {

@@ -57,9 +57,9 @@ func WritePrometheusSnapshot(w io.Writer, s *MetricsSnapshot) error {
 	writeHistogram(&b, "pta_set_cardinality",
 		"Points-to set size flowing into basic statements.", s.Cardinality)
 
-	if s.LiveVars.Count > 0 {
+	if s.LiveVars != nil {
 		writeHistogram(&b, "pta_live_vars",
-			"Demand mode: live tracked pointer variables at statement inputs.", s.LiveVars)
+			"Demand mode: live tracked pointer variables at statement inputs.", *s.LiveVars)
 	}
 
 	if len(s.Funcs) > 0 {

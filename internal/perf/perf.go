@@ -173,7 +173,9 @@ func RunPerf(names []string, workers, repeats int) (*PerfReport, error) {
 		p.FactsExhaustive = serial.Annots.TotalFacts()
 		p.FactsDemand = demand.Annots.TotalFacts()
 		p.FactsPruned = demand.Metrics.FactsPruned
-		p.LiveVarsP50 = demand.Metrics.LiveVars.P50
+		if lv := demand.Metrics.LiveVars; lv != nil {
+			p.LiveVarsP50 = lv.P50
+		}
 		exDiags, err := check.Run(ctxRes)
 		if err != nil {
 			return nil, fmt.Errorf("%s check: %w", name, err)

@@ -9,7 +9,7 @@ package loc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -64,7 +64,8 @@ var (
 func FieldElem(name string) Elem { return Elem{Field: name} }
 
 // Location is one interned abstract stack location. Locations are created
-// only by a Table; pointer equality is identity.
+// only by a Table; pointer equality is identity, and so is the pair of the
+// table and the dense ID it assigned.
 type Location struct {
 	Kind Kind
 	Obj  *ast.Object      // Var: the variable; Func: the function object
@@ -77,6 +78,8 @@ type Location struct {
 	multi   bool   // represents more than one real stack location
 	blob    bool   // union-collapsed location: absorbs further selectors
 	typ     *types.Type
+	id      uint32 // dense index in tab, in creation order
+	tab     *Table
 }
 
 // Name returns the display name of the location (unique within its scope).
@@ -86,6 +89,13 @@ func (l *Location) Name() string { return l.name }
 // location (a_tail parts, heap, string storage). Definite relationships must
 // not be generated from or killed at such locations.
 func (l *Location) Multi() bool { return l.multi }
+
+// ID returns the location's dense index in its table: IDs run 0..N-1 in
+// creation order, which under parallel analysis depends on the schedule.
+func (l *Location) ID() uint32 { return l.id }
+
+// Table returns the table that created the location.
+func (l *Location) Table() *Table { return l.tab }
 
 // Type returns the C type of the location's content, when known.
 func (l *Location) Type() *types.Type { return l.typ }
@@ -112,16 +122,6 @@ func (l *Location) String() string { return l.name }
 // in hot paths.
 func (l *Location) SortKey() string { return l.sortKey }
 
-// initSortKey fills the cached ordering key; called by the Table when a
-// location is created.
-func (l *Location) initSortKey() {
-	owner := ""
-	if l.Fn != nil {
-		owner = l.Fn.Name()
-	}
-	l.sortKey = owner + "\x00" + l.name
-}
-
 // ---------------------------------------------------------------------------
 // Table
 
@@ -130,12 +130,18 @@ func (l *Location) initSortKey() {
 // shared table, and interning is idempotent (one canonical *Location per
 // key, so pointer equality remains identity). One read-write mutex guards
 // the three key maps; lock acquisitions that had to wait are counted.
+//
+// The table also numbers its locations densely as it creates them. The
+// ID-to-location index is append-only and republished after every append,
+// so At reads it without taking the lock.
 type Table struct {
 	mu        sync.RWMutex
 	vars      map[varKey]*Location
 	syms      map[symKey]*Location
 	funcs     map[*ast.Object]*Location
 	contended atomic.Uint64
+
+	byID atomic.Pointer[[]*Location] // indexed by ID; appended under mu
 
 	heap  *Location
 	null  *Location
@@ -167,14 +173,11 @@ func NewTable(prog *simple.Program) *Table {
 		funcs:  make(map[*ast.Object]*Location),
 		owners: make(map[*ast.Object]*simple.Function),
 	}
-	t.heap = &Location{Kind: Heap, name: "heap", multi: true}
-	t.null = &Location{Kind: Null, name: "NULL"}
-	t.str = &Location{Kind: Str, name: "_string_", multi: true}
-	t.freed = &Location{Kind: Freed, name: "freed", multi: true}
-	t.heap.initSortKey()
-	t.null.initSortKey()
-	t.str.initSortKey()
-	t.freed.initSortKey()
+	t.byID.Store(new([]*Location))
+	t.heap = t.add(&Location{Kind: Heap, name: "heap", multi: true})
+	t.null = t.add(&Location{Kind: Null, name: "NULL"})
+	t.str = t.add(&Location{Kind: Str, name: "_string_", multi: true})
+	t.freed = t.add(&Location{Kind: Freed, name: "freed", multi: true})
 	if prog != nil {
 		for _, f := range prog.Functions {
 			for _, p := range f.Params {
@@ -190,6 +193,34 @@ func NewTable(prog *simple.Program) *Table {
 	}
 	return t
 }
+
+// add completes a new location: it fills the cached ordering key, assigns
+// the next ID and publishes the grown index. Callers hold the write lock,
+// or own the table exclusively.
+func (t *Table) add(l *Location) *Location {
+	ids := *t.byID.Load()
+	if uint64(len(ids)) == maxLocations {
+		panic("loc: location table full")
+	}
+	owner := ""
+	if l.Fn != nil {
+		owner = l.Fn.Name()
+	}
+	l.sortKey = owner + "\x00" + l.name
+	l.tab = t
+	l.id = uint32(len(ids))
+	ids = append(ids, l)
+	t.byID.Store(&ids)
+	return l
+}
+
+// maxLocations bounds a table's IDs to 31 bits, so that a points-to set can
+// pack two IDs and a definiteness bit into one uint64.
+const maxLocations = 1 << 31
+
+// At returns the location with the given ID. It takes no lock: any ID
+// obtained from a location of this table has been published.
+func (t *Table) At(id uint32) *Location { return (*t.byID.Load())[id] }
 
 // lock acquires the write lock, counting an acquisition that had to wait.
 func (t *Table) lock() {
@@ -253,8 +284,7 @@ func (t *Table) FuncLoc(obj *ast.Object) *Location {
 	if l, ok := t.funcs[obj]; ok {
 		return l
 	}
-	l = &Location{Kind: Func, Obj: obj, name: obj.Name, typ: obj.Type}
-	l.initSortKey()
+	l = t.add(&Location{Kind: Func, Obj: obj, name: obj.Name, typ: obj.Type})
 	t.funcs[obj] = l
 	return l
 }
@@ -298,8 +328,7 @@ func (t *Table) VarLoc(obj *ast.Object, path []Elem) *Location {
 			l.blob = true
 		}
 	}
-	l.initSortKey()
-	t.vars[key] = l
+	t.vars[key] = t.add(l)
 	return l
 }
 
@@ -335,8 +364,7 @@ func (t *Table) SymLoc(fn *simple.Function, sym string, path []Elem, typ *types.
 			l.blob = true
 		}
 	}
-	l.initSortKey()
-	t.syms[key] = l
+	t.syms[key] = t.add(l)
 	return l
 }
 
@@ -429,7 +457,7 @@ func (t *Table) SymCount(fn *simple.Function) int {
 // SortLocs sorts a slice of locations deterministically in place and
 // returns it.
 func SortLocs(ls []*Location) []*Location {
-	sort.Slice(ls, func(i, j int) bool { return ls[i].SortKey() < ls[j].SortKey() })
+	slices.SortFunc(ls, func(x, y *Location) int { return strings.Compare(x.sortKey, y.sortKey) })
 	return ls
 }
 

@@ -1,10 +1,18 @@
 // Package ptset implements points-to sets: sets of triples (x, y, D|P)
 // between abstract stack locations, with the lattice operations the analysis
 // needs (merge, subset, kill, definite-to-possible weakening) — paper §3.
+//
+// A set is a sorted slice of keys src<<33 | dst<<1 | def over the dense
+// location IDs of one loc.Table, with def 1 for D. The slice holds no
+// pointers, so a clone is one copy the garbage collector need not scan, the
+// lattice operations are linear merges, and the triples of one source are
+// one binary-searched run. IDs follow creation order, which under parallel
+// fan-out depends on the schedule, so ID order never leaves this package:
+// Triples and Targets sort by SortKey.
 package ptset
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/pta/loc"
@@ -30,11 +38,6 @@ func (d Def) String() string {
 // And conjoins definiteness (D ∧ D = D, anything else P).
 func (d Def) And(o Def) Def { return d && o }
 
-// Edge is a (source, target) pair of locations.
-type Edge struct {
-	Src, Dst *loc.Location
-}
-
 // Triple is one points-to relationship.
 type Triple struct {
 	Src, Dst *loc.Location
@@ -47,125 +50,163 @@ func (t Triple) String() string {
 
 // Set is a points-to set. The zero value is an empty set; use NewBottom for
 // the BOTTOM element that represents "no information / unreachable" in the
-// recursion fixed-point (paper Figure 4).
+// recursion fixed-point (paper Figure 4). A copied Set shares its contents:
+// use Clone for an independent copy.
 //
 // Invariant: a set holds at most one triple per (src, dst) edge; inserting
 // both D and P for the same edge weakens it to P.
 type Set struct {
-	m      map[Edge]Def
+	b *body
+}
+
+type body struct {
+	keys   []uint64   // sorted; one key per edge
+	tab    *loc.Table // the table the IDs index; nil until the first insert
 	bottom bool
 }
 
+// defBit is the definiteness bit of a key: set for D. Clearing it gives the
+// edge's smallest key, and k|defBit its largest, so comparing keys with the
+// bit cleared compares edges.
+const defBit = 1
+
+func key(src, dst *loc.Location, d Def) uint64 {
+	k := uint64(src.ID())<<33 | uint64(dst.ID())<<1
+	if d {
+		k |= defBit
+	}
+	return k
+}
+
 // New returns an empty set.
-func New() Set { return Set{m: make(map[Edge]Def)} }
+func New() Set { return Set{&body{}} }
 
 // NewBottom returns the BOTTOM element.
-func NewBottom() Set { return Set{bottom: true} }
+func NewBottom() Set { return Set{&body{bottom: true}} }
 
 // IsBottom reports whether the set is BOTTOM.
-func (s Set) IsBottom() bool { return s.bottom }
+func (s Set) IsBottom() bool { return s.b != nil && s.b.bottom }
+
+func (s Set) keys() []uint64 {
+	if s.b == nil {
+		return nil
+	}
+	return s.b.keys
+}
 
 // Len returns the number of triples (0 for BOTTOM).
-func (s Set) Len() int { return len(s.m) }
+func (s Set) Len() int { return len(s.keys()) }
+
+// find returns the index of edge (src, dst) in keys, or where it would go.
+func find(keys []uint64, src, dst *loc.Location) (int, bool) {
+	k := key(src, dst, P)
+	i, _ := slices.BinarySearch(keys, k)
+	return i, i < len(keys) && keys[i]&^defBit == k
+}
+
+// run returns the index range of src's triples in keys.
+func run(keys []uint64, src *loc.Location) (lo, hi int) {
+	id := uint64(src.ID())
+	lo, _ = slices.BinarySearch(keys, id<<33)
+	hi = lo
+	for hi < len(keys) && keys[hi]>>33 == id {
+		hi++
+	}
+	return lo, hi
+}
 
 // Insert adds (src, dst, d), weakening to P when the edge already exists
 // with a different definiteness. Inserting into BOTTOM panics: BOTTOM must
 // be replaced by Merge before use.
 func (s Set) Insert(src, dst *loc.Location, d Def) {
-	if s.bottom {
+	b := s.b
+	if b.bottom {
 		panic("ptset: insert into BOTTOM")
 	}
-	e := Edge{src, dst}
-	if old, ok := s.m[e]; ok {
-		if old != d {
-			s.m[e] = P
-		}
+	if b.tab == nil {
+		b.tab = src.Table()
+	}
+	k := key(src, dst, d)
+	i, ok := find(b.keys, src, dst)
+	if ok {
+		b.keys[i] &= k // the edges agree, so this conjoins the def bits
 		return
 	}
-	s.m[e] = d
+	b.keys = slices.Insert(b.keys, i, k)
 }
 
 // Lookup returns the definiteness of edge (src, dst) and whether it exists.
 func (s Set) Lookup(src, dst *loc.Location) (Def, bool) {
-	if s.bottom {
+	keys := s.keys()
+	i, ok := find(keys, src, dst)
+	if !ok {
 		return P, false
 	}
-	d, ok := s.m[Edge{src, dst}]
-	return d, ok
+	return keys[i]&defBit != 0, true
 }
 
-// Targets returns the triples with the given source, sorted.
+// Targets returns the triples with the given source, sorted by target.
 func (s Set) Targets(src *loc.Location) []Triple {
-	if s.bottom {
+	keys := s.keys()
+	lo, hi := run(keys, src)
+	if lo == hi {
 		return nil
 	}
-	var out []Triple
-	for e, d := range s.m {
-		if e.Src == src {
-			out = append(out, Triple{e.Src, e.Dst, d})
-		}
+	out := make([]Triple, hi-lo)
+	for i, k := range keys[lo:hi] {
+		out[i] = s.b.triple(k)
 	}
-	sortTriples(out)
+	if len(out) > 1 {
+		slices.SortFunc(out, func(x, y Triple) int {
+			return strings.Compare(x.Dst.SortKey(), y.Dst.SortKey())
+		})
+	}
 	return out
 }
 
-// Sources returns the triples with the given target, sorted.
-func (s Set) Sources(dst *loc.Location) []Triple {
-	if s.bottom {
-		return nil
-	}
-	var out []Triple
-	for e, d := range s.m {
-		if e.Dst == dst {
-			out = append(out, Triple{e.Src, e.Dst, d})
-		}
-	}
-	sortTriples(out)
-	return out
+// triple decodes key k.
+func (b *body) triple(k uint64) Triple {
+	return Triple{b.tab.At(uint32(k >> 33)), b.tab.At(uint32(k >> 1)), k&defBit != 0}
 }
 
 // Remove deletes the single edge (src, dst) if present.
 func (s Set) Remove(src, dst *loc.Location) {
-	if s.bottom {
+	if s.b == nil {
 		return
 	}
-	delete(s.m, Edge{src, dst})
+	if i, ok := find(s.b.keys, src, dst); ok {
+		s.b.keys = slices.Delete(s.b.keys, i, i+1)
+	}
 }
 
 // Kill removes every relationship whose source is src.
 func (s Set) Kill(src *loc.Location) {
-	if s.bottom {
+	if s.b == nil {
 		return
 	}
-	for e := range s.m {
-		if e.Src == src {
-			delete(s.m, e)
-		}
+	if lo, hi := run(s.b.keys, src); lo < hi {
+		s.b.keys = slices.Delete(s.b.keys, lo, hi)
 	}
 }
 
 // Weaken turns every definite relationship from src into a possible one.
 func (s Set) Weaken(src *loc.Location) {
-	if s.bottom {
-		return
-	}
-	for e, d := range s.m {
-		if e.Src == src && d == D {
-			s.m[e] = P
-		}
+	keys := s.keys()
+	lo, hi := run(keys, src)
+	for i := lo; i < hi; i++ {
+		keys[i] &^= defBit
 	}
 }
 
 // Clone returns a deep, mutable copy.
 func (s Set) Clone() Set {
-	if s.bottom {
+	if s.b == nil {
+		return New()
+	}
+	if s.b.bottom {
 		return NewBottom()
 	}
-	n := Set{m: make(map[Edge]Def, len(s.m))}
-	for e, d := range s.m {
-		n.m[e] = d
-	}
-	return n
+	return Set{&body{keys: slices.Clone(s.b.keys), tab: s.b.tab}}
 }
 
 // Merge returns the join of a and b (paper's Merge): the union of edges,
@@ -173,68 +214,69 @@ func (s Set) Clone() Set {
 // possible. BOTTOM is the identity.
 func Merge(a, b Set) Set {
 	switch {
-	case a.bottom && b.bottom:
+	case a.IsBottom() && b.IsBottom():
 		return NewBottom()
-	case a.bottom:
+	case a.IsBottom():
 		return b.Clone()
-	case b.bottom:
+	case b.IsBottom():
 		return a.Clone()
 	}
-	out := a.Clone()
-	for e, db := range b.m {
-		if da, ok := out.m[e]; ok {
-			if da != db || db == P {
-				out.m[e] = P
-			}
-			continue
-		}
-		// Present only in b: on the other path the relationship does not
-		// hold, so it cannot be definite after the merge.
-		out.m[e] = P
+	return Set{&body{keys: merge(a.keys(), b.keys()), tab: table(a, b)}}
+}
+
+// table returns the location table of whichever of a and b has one.
+func table(a, b Set) *loc.Table {
+	if a.b != nil && a.b.tab != nil {
+		return a.b.tab
 	}
-	// Edges present only in a likewise lose definiteness.
-	for e, da := range out.m {
-		if da == D {
-			if _, ok := b.m[e]; !ok {
-				out.m[e] = P
-			}
+	if b.b != nil {
+		return b.b.tab
+	}
+	return nil
+}
+
+// merge returns the keys of the join of x and y: an edge in both keeps the
+// conjunction of its def bits, and an edge in one only becomes P, since it
+// does not hold on the other path.
+func merge(x, y []uint64) []uint64 {
+	out := make([]uint64, 0, max(len(x), len(y)))
+	i, j := 0, 0
+	for i < len(x) && j < len(y) {
+		ex, ey := x[i]|defBit, y[j]|defBit
+		switch {
+		case ex < ey:
+			out = append(out, x[i]&^defBit)
+			i++
+		case ey < ex:
+			out = append(out, y[j]&^defBit)
+			j++
+		default:
+			out = append(out, x[i]&y[j])
+			i++
+			j++
 		}
+	}
+	for _, k := range x[i:] {
+		out = append(out, k&^defBit)
+	}
+	for _, k := range y[j:] {
+		out = append(out, k&^defBit)
 	}
 	return out
 }
 
-// Join merges o into s in place, leaving s equal to Merge(s, o) without
-// copying s. BOTTOM o is the identity; joining into a BOTTOM s panics,
+// Join merges o into s, leaving s (and every copy of it) equal to
+// Merge(s, o). BOTTOM o is the identity; joining into a BOTTOM s panics,
 // because BOTTOM cannot change in place.
 func (s Set) Join(o Set) {
-	if s.bottom {
+	if s.b.bottom {
 		panic("ptset: join into BOTTOM")
 	}
-	if o.bottom {
+	if o.IsBottom() {
 		return
 	}
-	n, shared := len(s.m), 0
-	for e, do := range o.m {
-		ds, ok := s.m[e]
-		if !ok {
-			s.m[e] = P // absent on the other path
-			continue
-		}
-		shared++
-		if ds == D && do == P {
-			s.m[e] = P
-		}
-	}
-	if shared == n {
-		return // every edge of s is in o: none lost definiteness
-	}
-	for e, ds := range s.m {
-		if ds == D {
-			if _, ok := o.m[e]; !ok {
-				s.m[e] = P
-			}
-		}
-	}
+	s.b.keys = merge(s.b.keys, o.keys())
+	s.b.tab = table(s, o)
 }
 
 // MergeAll joins any number of sets.
@@ -253,99 +295,96 @@ func MergeAll(sets ...Set) Set {
 //
 // BOTTOM is a subset of everything.
 func Subset(a, b Set) bool {
-	if a.bottom {
+	if a.IsBottom() {
 		return true
 	}
-	if b.bottom {
+	if b.IsBottom() {
 		return false
 	}
-	for e, da := range a.m {
-		db, ok := b.m[e]
-		if !ok {
+	y := b.keys()
+	j := 0
+	for _, k := range a.keys() {
+		for j < len(y) && y[j]|defBit < k|defBit {
+			j++
+		}
+		if j == len(y) || y[j]|defBit != k|defBit || y[j] > k {
 			return false
 		}
-		if db == D && da == P {
-			return false
-		}
+		j++
 	}
 	return true
 }
 
 // Equal reports structural equality.
 func Equal(a, b Set) bool {
-	if a.bottom || b.bottom {
-		return a.bottom == b.bottom
+	if a.IsBottom() || b.IsBottom() {
+		return a.IsBottom() == b.IsBottom()
 	}
-	if len(a.m) != len(b.m) {
-		return false
-	}
-	for e, da := range a.m {
-		if db, ok := b.m[e]; !ok || da != db {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.keys(), b.keys())
 }
 
 // Range calls f for every triple in unspecified order. Use it in hot paths
 // whose effects are order-independent (Insert and Kill are commutative);
-// use Triples when deterministic iteration matters.
+// use Triples when deterministic iteration matters. f must not change s.
 func (s Set) Range(f func(Triple)) {
-	if s.bottom {
-		return
-	}
-	for e, d := range s.m {
-		f(Triple{e.Src, e.Dst, d})
+	for _, k := range s.keys() {
+		f(s.b.triple(k))
 	}
 }
 
 // Triples returns all relationships, sorted deterministically.
 func (s Set) Triples() []Triple {
-	if s.bottom {
+	if s.IsBottom() {
 		return nil
 	}
-	out := make([]Triple, 0, len(s.m))
-	for e, d := range s.m {
-		out = append(out, Triple{e.Src, e.Dst, d})
+	keys := s.keys()
+	out := make([]Triple, len(keys))
+	for i, k := range keys {
+		out[i] = s.b.triple(k)
 	}
-	sortTriples(out)
+	slices.SortFunc(out, func(x, y Triple) int {
+		if c := strings.Compare(x.Src.SortKey(), y.Src.SortKey()); c != 0 {
+			return c
+		}
+		return strings.Compare(x.Dst.SortKey(), y.Dst.SortKey())
+	})
 	return out
 }
 
-func sortTriples(ts []Triple) {
-	sort.Slice(ts, func(i, j int) bool {
-		if a, b := ts[i].Src.SortKey(), ts[j].Src.SortKey(); a != b {
-			return a < b
-		}
-		return ts[i].Dst.SortKey() < ts[j].Dst.SortKey()
-	})
-}
-
 // String renders the set like the paper: (x,y,D) (y,z,P) …
-func (s Set) String() string {
-	if s.bottom {
-		return "BOTTOM"
-	}
-	ts := s.Triples()
-	parts := make([]string, len(ts))
-	for i, t := range ts {
-		parts[i] = t.String()
-	}
-	return strings.Join(parts, " ")
-}
+func (s Set) String() string { return s.render(false) }
 
 // StringNoNull renders the set without NULL and init-only relationships
 // (the paper excludes NULL-initialization pairs from reported results).
-func (s Set) StringNoNull() string {
-	if s.bottom {
+func (s Set) StringNoNull() string { return s.render(true) }
+
+// render writes the triples, in Triples order, into one builder sized up
+// front: fingerprints render every recorded set, so this is a hot path.
+func (s Set) render(noNull bool) string {
+	if s.IsBottom() {
 		return "BOTTOM"
 	}
-	var parts []string
-	for _, t := range s.Triples() {
-		if t.Dst.Kind == loc.Null {
+	ts := s.Triples()
+	n := 0
+	for _, t := range ts {
+		n += len(t.Src.Name()) + len(t.Dst.Name()) + len("(,,D) ")
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for _, t := range ts {
+		if noNull && t.Dst.Kind == loc.Null {
 			continue
 		}
-		parts = append(parts, t.String())
+		if sb.Len() > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteByte('(')
+		sb.WriteString(t.Src.Name())
+		sb.WriteByte(',')
+		sb.WriteString(t.Dst.Name())
+		sb.WriteByte(',')
+		sb.WriteString(t.Def.String())
+		sb.WriteByte(')')
 	}
-	return strings.Join(parts, " ")
+	return sb.String()
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,11 +13,13 @@ import (
 	"repro/internal/pta/loc"
 )
 
-// testLocs builds a pool of distinct locations for property tests.
+// testLocs builds a pool of distinct locations v0..v(n-1) for property
+// tests. It creates them in reverse name order, so ID order and SortKey
+// order disagree: a test that sees ID order leak out of the package fails.
 func testLocs(n int) []*loc.Location {
 	tab := loc.NewTable(nil)
 	out := make([]*loc.Location, n)
-	for i := range out {
+	for i := n - 1; i >= 0; i-- {
 		obj := &ast.Object{Name: fmt.Sprintf("v%d", i), Kind: ast.Var, Global: true}
 		out[i] = tab.VarLoc(obj, nil)
 	}
@@ -222,9 +226,9 @@ func TestQuickNoDualEdges(t *testing.T) {
 	// (Insert collapses them).
 	f := func(x randomSet) bool {
 		a := x.build()
-		seen := make(map[Edge]bool)
+		seen := make(map[[2]*loc.Location]bool)
 		for _, tr := range a.Triples() {
-			e := Edge{tr.Src, tr.Dst}
+			e := [2]*loc.Location{tr.Src, tr.Dst}
 			if seen[e] {
 				return false
 			}
@@ -284,18 +288,26 @@ func TestStringFormat(t *testing.T) {
 	if NewBottom().String() != "BOTTOM" {
 		t.Error("BOTTOM should print as BOTTOM")
 	}
+	a.Insert(pool[1], pool[0].Table().NullLoc(), P)
+	if got, want := a.String(), "(v0,v1,D) (v1,NULL,P)"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	if got, want := a.StringNoNull(), "(v0,v1,D)"; got != want {
+		t.Errorf("StringNoNull() = %q, want %q", got, want)
+	}
 }
 
-func TestTargetsSources(t *testing.T) {
+func TestTargets(t *testing.T) {
 	a := New()
 	a.Insert(pool[0], pool[1], D)
 	a.Insert(pool[0], pool[2], P)
 	a.Insert(pool[3], pool[2], P)
-	if n := len(a.Targets(pool[0])); n != 2 {
-		t.Errorf("Targets(v0) = %d, want 2", n)
+	want := []Triple{{pool[0], pool[1], D}, {pool[0], pool[2], P}}
+	if got := a.Targets(pool[0]); !slices.Equal(got, want) {
+		t.Errorf("Targets(v0) = %v, want %v", got, want)
 	}
-	if n := len(a.Sources(pool[2])); n != 2 {
-		t.Errorf("Sources(v2) = %d, want 2", n)
+	if got := a.Targets(pool[2]); got != nil {
+		t.Errorf("Targets(v2) = %v, want none", got)
 	}
 }
 
@@ -349,4 +361,228 @@ func TestJoinEqualsMerge(t *testing.T) {
 		}
 	}()
 	NewBottom().Join(s)
+}
+
+// model is the map-keyed set this package used before dense location IDs,
+// kept as the reference TestAgainstModel checks every operation against.
+// Like Set, a copied *model shares its contents.
+type model struct {
+	m      map[[2]*loc.Location]Def
+	bottom bool
+}
+
+func newModel() *model { return &model{m: make(map[[2]*loc.Location]Def)} }
+
+func (s *model) insert(src, dst *loc.Location, d Def) {
+	e := [2]*loc.Location{src, dst}
+	if old, ok := s.m[e]; ok && old != d {
+		d = P
+	}
+	s.m[e] = d
+}
+
+func (s *model) remove(src, dst *loc.Location) { delete(s.m, [2]*loc.Location{src, dst}) }
+
+func (s *model) kill(src *loc.Location) {
+	for e := range s.m {
+		if e[0] == src {
+			delete(s.m, e)
+		}
+	}
+}
+
+func (s *model) weaken(src *loc.Location) {
+	for e := range s.m {
+		if e[0] == src {
+			s.m[e] = P
+		}
+	}
+}
+
+func (s *model) clone() *model {
+	if s.bottom {
+		return &model{bottom: true}
+	}
+	n := newModel()
+	for e, d := range s.m {
+		n.m[e] = d
+	}
+	return n
+}
+
+func modelMerge(a, b *model) *model {
+	switch {
+	case a.bottom:
+		return b.clone()
+	case b.bottom:
+		return a.clone()
+	}
+	out := newModel()
+	for e, da := range a.m {
+		db, ok := b.m[e]
+		out.m[e] = da.And(db).And(Def(ok))
+	}
+	for e := range b.m {
+		if _, ok := a.m[e]; !ok {
+			out.m[e] = P
+		}
+	}
+	return out
+}
+
+func modelSubset(a, b *model) bool {
+	if a.bottom || b.bottom {
+		return a.bottom || !b.bottom
+	}
+	for e, da := range a.m {
+		if db, ok := b.m[e]; !ok || db == D && da == P {
+			return false
+		}
+	}
+	return true
+}
+
+func modelEqual(a, b *model) bool {
+	if a.bottom || b.bottom {
+		return a.bottom == b.bottom
+	}
+	return modelSubset(a, b) && modelSubset(b, a)
+}
+
+func (s *model) lookup(src, dst *loc.Location) (Def, bool) {
+	d, ok := s.m[[2]*loc.Location{src, dst}]
+	return d, ok
+}
+
+// triples returns the model's triples with source src, or all of them when
+// src is nil, in SortKey order.
+func (s *model) triples(src *loc.Location) []Triple {
+	var out []Triple
+	for e, d := range s.m {
+		if src == nil || e[0] == src {
+			out = append(out, Triple{e[0], e[1], d})
+		}
+	}
+	slices.SortFunc(out, func(x, y Triple) int {
+		if c := strings.Compare(x.Src.SortKey(), y.Src.SortKey()); c != 0 {
+			return c
+		}
+		return strings.Compare(x.Dst.SortKey(), y.Dst.SortKey())
+	})
+	return out
+}
+
+// TestAgainstModel runs seeded random sequences of Insert, Remove, Kill,
+// Weaken, Join, Merge, Clone and plain copies over a few set slots, each
+// paired with the map model, and after every operation compares Triples,
+// Len, Lookup and Targets of every slot and Subset and Equal of every pair
+// of slots. The location pool's ID order is the reverse of its SortKey
+// order, so any ID order that leaks into a result shows.
+func TestAgainstModel(t *testing.T) {
+	locs := testLocs(6)
+	const slots = 4
+	for seed := int64(1); seed <= 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		sets := make([]Set, slots)
+		models := make([]*model, slots)
+		for i := range sets {
+			sets[i], models[i] = New(), newModel()
+		}
+		var trace []string
+		for step := 0; step < 150; step++ {
+			i, j := r.Intn(slots), r.Intn(slots)
+			src, dst := locs[r.Intn(len(locs))], locs[r.Intn(len(locs))]
+			s, m := sets[i], models[i]
+			var op string
+			switch k := r.Intn(20); {
+			case k < 7:
+				d := Def(r.Intn(3) > 0)
+				op = fmt.Sprintf("s%d.Insert(%s,%s,%s)", i, src, dst, d)
+				if m.bottom {
+					sets[i], models[i] = New(), newModel()
+					s, m = sets[i], models[i]
+				}
+				s.Insert(src, dst, d)
+				m.insert(src, dst, d)
+			case k < 9:
+				op = fmt.Sprintf("s%d.Remove(%s,%s)", i, src, dst)
+				s.Remove(src, dst)
+				if !m.bottom {
+					m.remove(src, dst)
+				}
+			case k < 11:
+				op = fmt.Sprintf("s%d.Kill(%s)", i, src)
+				s.Kill(src)
+				if !m.bottom {
+					m.kill(src)
+				}
+			case k < 13:
+				op = fmt.Sprintf("s%d.Weaken(%s)", i, src)
+				s.Weaken(src)
+				if !m.bottom {
+					m.weaken(src)
+				}
+			case k < 15:
+				op = fmt.Sprintf("s%d.Join(s%d)", i, j)
+				if m.bottom {
+					continue
+				}
+				s.Join(sets[j])
+				*m = *modelMerge(m, models[j])
+			case k < 17:
+				o := r.Intn(slots)
+				op = fmt.Sprintf("s%d = Merge(s%d, s%d)", o, i, j)
+				sets[o], models[o] = Merge(s, sets[j]), modelMerge(m, models[j])
+			case k < 18:
+				op = fmt.Sprintf("s%d = s%d.Clone()", j, i)
+				sets[j], models[j] = s.Clone(), m.clone()
+			case k < 19:
+				op = fmt.Sprintf("s%d = s%d", j, i) // shares contents
+				sets[j], models[j] = s, m
+			default:
+				op = fmt.Sprintf("s%d = BOTTOM", i)
+				sets[i], models[i] = NewBottom(), &model{bottom: true}
+			}
+			trace = append(trace, op)
+			if err := compareWithModel(sets, models, locs); err != nil {
+				t.Fatalf("seed %d after %s: %v", seed, strings.Join(trace, "; "), err)
+			}
+		}
+	}
+}
+
+func compareWithModel(sets []Set, models []*model, locs []*loc.Location) error {
+	for i, s := range sets {
+		m := models[i]
+		if s.IsBottom() != m.bottom {
+			return fmt.Errorf("s%d: IsBottom = %v, model %v", i, s.IsBottom(), m.bottom)
+		}
+		if want := m.triples(nil); !slices.Equal(s.Triples(), want) {
+			return fmt.Errorf("s%d: Triples = %v, model %v", i, s.Triples(), want)
+		}
+		if s.Len() != len(m.m) {
+			return fmt.Errorf("s%d: Len = %d, model %d", i, s.Len(), len(m.m))
+		}
+		for _, src := range locs {
+			if got, want := s.Targets(src), m.triples(src); !slices.Equal(got, want) {
+				return fmt.Errorf("s%d: Targets(%s) = %v, model %v", i, src, got, want)
+			}
+			for _, dst := range locs {
+				d, ok := s.Lookup(src, dst)
+				md, mok := m.lookup(src, dst)
+				if ok != mok || ok && d != md {
+					return fmt.Errorf("s%d: Lookup(%s,%s) = %v %v, model %v %v", i, src, dst, d, ok, md, mok)
+				}
+			}
+		}
+		for j, o := range sets {
+			if got, want := Subset(s, o), modelSubset(m, models[j]); got != want {
+				return fmt.Errorf("Subset(s%d, s%d) = %v, model %v", i, j, got, want)
+			}
+			if got, want := Equal(s, o), modelEqual(m, models[j]); got != want {
+				return fmt.Errorf("Equal(s%d, s%d) = %v, model %v", i, j, got, want)
+			}
+		}
+	}
+	return nil
 }
