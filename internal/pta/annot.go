@@ -47,9 +47,13 @@ func (a *Annotations) ContextsEnabled() bool { return a.perNode != nil }
 // Record joins the input set flowing into b into its accumulator: the one
 // for the invocation-graph node ign when contexts are enabled, the
 // statement's merge otherwise (or when ign is nil, for synthetic contexts).
-// The first visit copies in; later visits join in place. Safe for
-// concurrent use; the join is commutative and associative, so the
-// accumulated annotation is independent of recording order.
+// The first visit keeps in's key array rather than copying it, and later
+// visits join into a new one only when the join changes the accumulator.
+// That relies on the engine's invariant: a set is never written in place
+// once a transfer function has returned it, so a caller must not change in
+// after recording it. Safe for concurrent use; the join is commutative
+// and associative, so the accumulated annotation is independent of
+// recording order.
 func (a *Annotations) Record(b *simple.Basic, in ptset.Set, ign *invgraph.Node) {
 	if in.IsBottom() {
 		return
@@ -68,12 +72,12 @@ func (a *Annotations) Record(b *simple.Basic, in ptset.Set, ign *invgraph.Node) 
 	joinInto(m, ign, in)
 }
 
-// joinInto joins in into m[k], copying it on the first visit.
+// joinInto joins in into m[k], sharing in's keys on the first visit.
 func joinInto[K comparable](m map[K]ptset.Set, k K, in ptset.Set) {
 	if acc, ok := m[k]; ok {
 		acc.Join(in)
 	} else {
-		m[k] = in.Clone()
+		m[k] = in.Share()
 	}
 }
 

@@ -165,9 +165,9 @@ func (a *analyzer) processFree(b *simple.Basic, in ptset.Set) ptset.Set {
 	out := in.Clone()
 	for _, ld := range a.llocs(arg, in) {
 		strong := ld.d == ptset.D && !ld.l.Multi() && !a.opts.NoDefinite
-		for _, t := range in.Targets(ld.l) {
+		in.RangeTargets(ld.l, func(t ptset.Triple) {
 			if t.Dst.Kind != loc.Heap {
-				continue
+				return
 			}
 			if strong {
 				out.Remove(ld.l, t.Dst)
@@ -175,7 +175,7 @@ func (a *analyzer) processFree(b *simple.Basic, in ptset.Set) ptset.Set {
 			} else {
 				out.Insert(ld.l, freed, ptset.P)
 			}
-		}
+		})
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package pta_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -37,6 +38,39 @@ func TestDeterministicAcrossRunsAndWorkers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHeapNamedGlobalPrintsStably analyzes a program whose global `heap`
+// and a malloc'd cell both point to x. The two (heap, x, ·) triples render
+// alike except for their definiteness, so only the sort keys of the global
+// and the fixed heap location order them; they must print the same way at
+// every worker count and on every run, the global first.
+func TestHeapNamedGlobalPrintsStably(t *testing.T) {
+	prog := loadSource(t, "heapname.c", `
+int x;
+int *heap;
+int main() {
+	int **p;
+	heap = &x;
+	p = (int **) malloc(8);
+	*p = &x;
+	return 0;
+}
+`)
+	const want = "(heap,x,D) (heap,x,P)"
+	for _, w := range []int{1, 2, 8} {
+		for run := 0; run < 10; run++ {
+			var got []string
+			for _, tr := range analyze(t, prog, pta.Options{Workers: w}).MainOut.Triples() {
+				if tr.Src.Name() == "heap" {
+					got = append(got, tr.String())
+				}
+			}
+			if s := strings.Join(got, " "); s != want {
+				t.Fatalf("workers=%d run=%d: heap triples %q, want %q", w, run, s, want)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package pta
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -151,16 +152,10 @@ func (mi *MapInfo) calleeNamesOf(a *analyzer, l *loc.Location, excludeActual boo
 	return dedupeLocs(out)
 }
 
+// dedupeLocs sorts names by SortKey and drops duplicates: mapProcess
+// anchors a symbolic name at the first name of its source.
 func dedupeLocs(in []*loc.Location) []*loc.Location {
-	seen := make(map[*loc.Location]bool, len(in))
-	out := in[:0]
-	for _, l := range in {
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
-	}
-	return loc.SortLocs(out)
+	return slices.Compact(loc.SortLocs(in))
 }
 
 // symRoot returns the path-less root of a symbolic location.
@@ -194,17 +189,30 @@ func bumpSym(l *loc.Location) string {
 	return "1_" + l.Name()
 }
 
-// orderedTriples returns the triples of s with definite relationships
-// first, each group deterministically ordered — the paper's observation
-// that mapping invisibles involved in definite relationships first gives
-// more accurate map information.
+// orderedTriples returns the triples of s whose target pass 1 of
+// mapProcess can name, those not globally visible, with definite
+// relationships first — the paper's observation that mapping invisibles
+// involved in definite relationships first gives more accurate map
+// information — and then by source and target SortKey, since the first
+// triple to reach an invisible decides its symbolic name.
 func orderedTriples(s ptset.Set) []ptset.Triple {
-	ts := s.Triples()
-	sort.SliceStable(ts, func(i, j int) bool {
-		if ts[i].Def != ts[j].Def {
-			return ts[i].Def == ptset.D
+	var ts []ptset.Triple
+	s.Range(func(t ptset.Triple) {
+		if !t.Dst.IsGlobalish() {
+			ts = append(ts, t)
 		}
-		return false
+	})
+	slices.SortFunc(ts, func(x, y ptset.Triple) int {
+		if x.Def != y.Def {
+			if x.Def == ptset.D {
+				return -1
+			}
+			return 1
+		}
+		if c := loc.Compare(x.Src, y.Src); c != 0 {
+			return c
+		}
+		return loc.Compare(x.Dst, y.Dst)
 	})
 	return ts
 }
@@ -245,9 +253,6 @@ func (a *analyzer) mapProcess(in ptset.Set, b *simple.Basic, callee *simple.Func
 	for changed := true; changed; {
 		changed = false
 		for _, t := range triples {
-			if t.Dst.IsGlobalish() {
-				continue
-			}
 			ns := mi.calleeNamesOf(a, t.Src, false)
 			if len(ns) == 0 {
 				continue
@@ -266,7 +271,6 @@ func (a *analyzer) mapProcess(in ptset.Set, b *simple.Basic, callee *simple.Func
 	// A symbolic representing several invisibles — or any location that is
 	// itself multiple — cannot carry definite relationships.
 	for sym, list := range mi.inv {
-		loc.SortLocs(list)
 		if len(list) > 1 {
 			mi.multi[sym] = true
 			continue
@@ -392,8 +396,8 @@ func (a *analyzer) applyReturnValue(out, funcOut ptset.Set, mi *MapInfo, b *simp
 	}
 	for _, path := range loc.PointerPaths(rt) {
 		rv := a.tab.VarLoc(callee.RetVal, path)
-		set := newLocDSet()
-		for _, t := range funcOut.Targets(rv) {
+		var set locDSet
+		funcOut.RangeTargets(rv, func(t ptset.Triple) {
 			cvs := mi.translate(a, t.Dst)
 			d := t.Def
 			if len(cvs) > 1 || mi.isMultiSym(a, t.Dst) {
@@ -402,10 +406,10 @@ func (a *analyzer) applyReturnValue(out, funcOut ptset.Set, mi *MapInfo, b *simp
 			for _, cv := range cvs {
 				set.add(cv, d)
 			}
-		}
+		})
 		lhsRef := refWithElems(b.LHS, path)
 		lls := a.llocs(lhsRef, out)
-		a.applyAssign(out, lls, set.pairs())
+		a.applyAssign(out, lls, set)
 	}
 }
 
@@ -628,13 +632,13 @@ func (a *analyzer) processIndirectCall(b *simple.Basic, in ptset.Set, ign *invgr
 	var targets []*simple.Function
 	switch a.opts.FnPtr {
 	case Precise:
-		for _, t := range in.Targets(fpLoc) {
+		in.RangeTargets(fpLoc, func(t ptset.Triple) {
 			if t.Dst.Kind == loc.Func {
 				if fn := a.prog.Lookup(t.Dst.Obj.Name); fn != nil {
 					targets = append(targets, fn)
 				}
 			}
-		}
+		})
 	case AddrTaken:
 		for _, fn := range a.prog.Functions {
 			if fn.Obj.AddrTaken {

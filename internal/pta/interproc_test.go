@@ -53,6 +53,28 @@ int main() {
 	}
 }
 
+// A caller location with several callee names anchors the symbolic name of
+// its pointees at the first name by SortKey, not at the first it was given:
+// p passed as both arguments of f(int *y, int *x) names a after x.
+func TestSymbolicNameAnchorsAtFirstSortedName(t *testing.T) {
+	res := analyzeSrc(t, `
+void f(int *y, int *x) {
+	*y = 1;
+}
+int main() {
+	int a;
+	int *p;
+	p = &a;
+	f(p, p);
+	return 0;
+}
+`)
+	inv := mapInfoFor(t, res, "f").Invisibles()
+	if got := inv["1_x"]; len(got) != 1 || got[0] != "a" || len(inv) != 1 {
+		t.Errorf("invisibles %v, want only 1_x for a", inv)
+	}
+}
+
 // The paper's first §4.1 observation: when both x and y definitely point to
 // the same invisible b, it is represented by exactly one symbolic name —
 // the map info shows (1_?, b) once and the other name maps to nothing.

@@ -174,10 +174,10 @@ func NewTable(prog *simple.Program) *Table {
 		owners: make(map[*ast.Object]*simple.Function),
 	}
 	t.byID.Store(new([]*Location))
-	t.heap = t.add(&Location{Kind: Heap, name: "heap", multi: true})
-	t.null = t.add(&Location{Kind: Null, name: "NULL"})
-	t.str = t.add(&Location{Kind: Str, name: "_string_", multi: true})
-	t.freed = t.add(&Location{Kind: Freed, name: "freed", multi: true})
+	t.heap = t.addFixed(&Location{Kind: Heap, name: "heap", multi: true})
+	t.null = t.addFixed(&Location{Kind: Null, name: "NULL"})
+	t.str = t.addFixed(&Location{Kind: Str, name: "_string_", multi: true})
+	t.freed = t.addFixed(&Location{Kind: Freed, name: "freed", multi: true})
 	if prog != nil {
 		for _, f := range prog.Functions {
 			for _, p := range f.Params {
@@ -211,6 +211,16 @@ func (t *Table) add(l *Location) *Location {
 	l.id = uint32(len(ids))
 	ids = append(ids, l)
 	t.byID.Store(&ids)
+	return l
+}
+
+// addFixed adds one of the four fixed locations. A global may share its
+// name (`int *heap;`), so its key gains a NUL byte, which no name contains:
+// the key stays unique and sorts right after the global's, and its order
+// against every other key is unchanged.
+func (t *Table) addFixed(l *Location) *Location {
+	t.add(l)
+	l.sortKey += "\x00"
 	return l
 }
 
@@ -454,10 +464,14 @@ func (t *Table) SymCount(fn *simple.Function) int {
 	return len(names)
 }
 
+// Compare orders locations by SortKey, the deterministic order of
+// everything that names or prints locations.
+func Compare(x, y *Location) int { return strings.Compare(x.sortKey, y.sortKey) }
+
 // SortLocs sorts a slice of locations deterministically in place and
 // returns it.
 func SortLocs(ls []*Location) []*Location {
-	slices.SortFunc(ls, func(x, y *Location) int { return strings.Compare(x.sortKey, y.sortKey) })
+	slices.SortFunc(ls, Compare)
 	return ls
 }
 

@@ -77,6 +77,24 @@ func TestExtendCollapsesHeap(t *testing.T) {
 	}
 }
 
+// TestFixedKeysUnique checks that a global named like a fixed location
+// (int *heap;) gets a different sort key, and that the fixed location sorts
+// right after it, ahead of every longer name.
+func TestFixedKeysUnique(t *testing.T) {
+	tab := NewTable(nil)
+	for _, fixed := range []*Location{tab.HeapLoc(), tab.NullLoc(), tab.StrLoc(), tab.FreedLoc()} {
+		g := tab.VarLoc(&ast.Object{Name: fixed.Name(), Kind: ast.Var, Global: true}, nil)
+		longer := tab.VarLoc(&ast.Object{Name: fixed.Name() + "0", Kind: ast.Var, Global: true}, nil)
+		if g.Name() != fixed.Name() {
+			t.Fatalf("global %q renders as %q", fixed.Name(), g.Name())
+		}
+		if Compare(g, fixed) >= 0 || Compare(fixed, longer) >= 0 {
+			t.Errorf("%s: keys %q, %q, %q are not in order global < fixed < longer name",
+				fixed.Name(), g.SortKey(), fixed.SortKey(), longer.SortKey())
+		}
+	}
+}
+
 func TestGlobalish(t *testing.T) {
 	tab := NewTable(nil)
 	g := &ast.Object{Name: "g", Kind: ast.Var, Global: true}

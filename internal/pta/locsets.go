@@ -26,34 +26,26 @@ type locD struct {
 // locDSet accumulates locD pairs with duplicate elimination. A location
 // derived definitely by any derivation stays definite: a definite
 // derivation independently establishes that the reference denotes that
-// single location on all paths.
-type locDSet struct {
-	m     map[*loc.Location]ptset.Def
-	order []*loc.Location
-}
-
-func newLocDSet() *locDSet { return &locDSet{m: make(map[*loc.Location]ptset.Def)} }
+// single location on all paths, so a later D derivation upgrades an entry.
+// The sets are small, so a linear scan finds duplicates. The pairs stay in
+// the order they were added: their consumers, the kill/change/gen rules
+// and further L- and R-location steps, commute, and the exported Eval
+// functions sort by SortKey.
+type locDSet []locD
 
 func (s *locDSet) add(l *loc.Location, d ptset.Def) {
 	if l == nil {
 		return
 	}
-	if old, ok := s.m[l]; ok {
-		if d == ptset.D && old == ptset.P {
-			s.m[l] = ptset.D
+	for i := range *s {
+		if (*s)[i].l == l {
+			if d == ptset.D {
+				(*s)[i].d = ptset.D
+			}
+			return
 		}
-		return
 	}
-	s.m[l] = d
-	s.order = append(s.order, l)
-}
-
-func (s *locDSet) pairs() []locD {
-	out := make([]locD, 0, len(s.order))
-	for _, l := range loc.SortLocs(s.order) {
-		out = append(out, locD{l, s.m[l]})
-	}
-	return out
+	*s = append(*s, locD{l, d})
 }
 
 // evalBase computes the named locations denoted by (v, path) — the
@@ -77,20 +69,20 @@ func (a *analyzer) evalBase(v *ast.Object, path []simple.Sel) []locD {
 // pointed-to semantics used for selectors after a dereference (where an
 // index re-aligns within the pointed-to array).
 func (a *analyzer) applySel(in []locD, sel simple.Sel, onTarget bool) []locD {
-	out := newLocDSet()
+	var out locDSet
 	for _, ld := range in {
 		switch sel.Kind {
 		case simple.SelField:
 			out.add(a.tab.Extend(ld.l, loc.FieldElem(sel.Name)), ld.d)
 		case simple.SelIndex:
 			if onTarget {
-				a.indexTarget(out, ld, sel.Index)
+				a.indexTarget(&out, ld, sel.Index)
 			} else {
-				a.indexNamed(out, ld, sel.Index)
+				a.indexNamed(&out, ld, sel.Index)
 			}
 		}
 	}
-	return out.pairs()
+	return out
 }
 
 // indexNamed applies an index to an array-typed named location: a[0] is the
@@ -187,16 +179,16 @@ func (a *analyzer) siblingTail(l *loc.Location) *loc.Location {
 // locations; a store through a freed pointer has no location the program can
 // legally observe again, and the checker reports it separately).
 func (a *analyzer) pointees(in []locD, s ptset.Set, forWrite bool) []locD {
-	out := newLocDSet()
+	var out locDSet
 	for _, ld := range in {
-		for _, t := range s.Targets(ld.l) {
+		s.RangeTargets(ld.l, func(t ptset.Triple) {
 			if forWrite && (t.Dst.Kind == loc.Null || t.Dst.Kind == loc.Func || t.Dst.Kind == loc.Freed) {
-				continue
+				return
 			}
 			out.add(t.Dst, ld.d.And(t.Def))
-		}
+		})
 	}
-	return out.pairs()
+	return out
 }
 
 // llocs computes the L-location set of a reference (Table 1).
@@ -272,18 +264,18 @@ func (a *analyzer) rlocs(b *simple.Basic, s ptset.Set) []locD {
 		case xPtr && yPtr:
 			return nil // p - q: integer result
 		case xPtr:
-			out := newLocDSet()
+			var out locDSet
 			class := arithClass(b.Y, b.Op == token.SUB)
 			for _, ld := range a.rlocsOfRef(xr, s) {
-				a.indexTarget(out, ld, class)
+				a.indexTarget(&out, ld, class)
 			}
-			return out.pairs()
+			return out
 		case yPtr:
-			out := newLocDSet()
+			var out locDSet
 			for _, ld := range a.rlocsOfRef(yr, s) {
-				a.indexTarget(out, ld, arithClass(b.X, false))
+				a.indexTarget(&out, ld, arithClass(b.X, false))
 			}
-			return out.pairs()
+			return out
 		}
 		return nil
 

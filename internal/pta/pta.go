@@ -172,6 +172,13 @@ type Result struct {
 
 // Analyze runs the points-to analysis on a SIMPLE program.
 func Analyze(prog *simple.Program, opts Options) (*Result, error) {
+	return analyze(prog, opts, loc.NewTable(prog))
+}
+
+// analyze runs the analysis with locations interned in tab, a table made
+// for prog. Tests pass one that already holds locations, to choose the
+// IDs the run sees.
+func analyze(prog *simple.Program, opts Options, tab *loc.Table) (*Result, error) {
 	g, err := invgraph.Build(prog)
 	if err != nil {
 		return nil, err
@@ -182,7 +189,7 @@ func Analyze(prog *simple.Program, opts Options) (*Result, error) {
 	}
 	a := &analyzer{
 		prog:   prog,
-		tab:    loc.NewTable(prog),
+		tab:    tab,
 		g:      g,
 		opts:   opts,
 		ann:    NewAnnotations(),
@@ -450,7 +457,7 @@ func (a *analyzer) run() (err error) {
 		a.initNull(in, gv)
 	}
 	f := a.processStmt(a.prog.GlobalInit, in, a.g.Root, 0)
-	entry := f.out
+	entry := f.out.Clone() // f.out may be a recorded set: seed a copy
 	sp.End()
 
 	// Seed main's pointer parameters (argc/argv) with symbolic targets so
@@ -492,43 +499,38 @@ type BaseLoc struct {
 // statistics in package report.
 func EvalBaseLocs(res *Result, r *simple.Ref) []BaseLoc {
 	a := &analyzer{prog: res.Prog, tab: res.Table, opts: res.Opts}
-	var out []BaseLoc
-	for _, ld := range a.evalBase(r.Var, r.Path) {
-		out = append(out, BaseLoc{ld.l, ld.d})
-	}
-	return out
+	return baseLocs(a.evalBase(r.Var, r.Path))
 }
 
 // EvalLLocs exposes the L-location set of a reference under a given
 // points-to set (Table 1) for follow-on analyses.
 func EvalLLocs(res *Result, r *simple.Ref, in ptset.Set) []BaseLoc {
 	a := &analyzer{prog: res.Prog, tab: res.Table, opts: res.Opts}
-	var out []BaseLoc
-	for _, ld := range a.llocs(r, in) {
-		out = append(out, BaseLoc{ld.l, ld.d})
-	}
-	return out
+	return baseLocs(a.llocs(r, in))
 }
 
 // EvalRLocsOfRef exposes the R-location set of a reference used as an
 // rvalue under a given points-to set.
 func EvalRLocsOfRef(res *Result, r *simple.Ref, in ptset.Set) []BaseLoc {
 	a := &analyzer{prog: res.Prog, tab: res.Table, opts: res.Opts}
-	var out []BaseLoc
-	for _, ld := range a.rlocsOfRef(r, in) {
-		out = append(out, BaseLoc{ld.l, ld.d})
-	}
-	return out
+	return baseLocs(a.rlocsOfRef(r, in))
 }
 
 // EvalRLocs exposes the R-location set of a basic statement's right-hand
 // side under a given points-to set (used by the flow-insensitive baseline).
 func EvalRLocs(res *Result, b *simple.Basic, in ptset.Set) []BaseLoc {
 	a := &analyzer{prog: res.Prog, tab: res.Table, opts: res.Opts}
+	return baseLocs(a.rlocs(b, in))
+}
+
+// baseLocs exports location pairs sorted by SortKey. The engine keeps them
+// in derivation order, which follows location IDs and so the schedule.
+func baseLocs(lds []locD) []BaseLoc {
 	var out []BaseLoc
-	for _, ld := range a.rlocs(b, in) {
+	for _, ld := range lds {
 		out = append(out, BaseLoc{ld.l, ld.d})
 	}
+	slices.SortFunc(out, func(x, y BaseLoc) int { return loc.Compare(x.Loc, y.Loc) })
 	return out
 }
 

@@ -2,6 +2,7 @@ package pta
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -147,6 +148,27 @@ func annotatedInput(t *testing.T, res *Result, fnName string, match func(*simple
 }
 
 // ---------------------------------------------------------------------------
+
+// A location derived both possibly and definitely is definite in an L- or
+// R-location set whichever derivation arrives first, so the set does not
+// depend on the order the engine walks its inputs in.
+func TestLocDSetDefiniteWins(t *testing.T) {
+	tab := loc.NewTable(nil)
+	x := tab.VarLoc(&ast.Object{Name: "x", Kind: ast.Var, Global: true}, nil)
+	y := tab.VarLoc(&ast.Object{Name: "y", Kind: ast.Var, Global: true}, nil)
+	for _, adds := range [][]locD{
+		{{x, ptset.P}, {y, ptset.P}, {x, ptset.D}},
+		{{x, ptset.D}, {y, ptset.P}, {x, ptset.P}},
+	} {
+		var s locDSet
+		for _, ld := range adds {
+			s.add(ld.l, ld.d)
+		}
+		if want := (locDSet{{x, ptset.D}, {y, ptset.P}}); !slices.Equal(s, want) {
+			t.Errorf("adding %v gives %v, want %v", adds, s, want)
+		}
+	}
+}
 
 func TestBasicAddressOf(t *testing.T) {
 	res := analyzeSrc(t, `

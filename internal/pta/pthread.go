@@ -76,11 +76,11 @@ func (a *analyzer) threadEntries(b *simple.Basic, in ptset.Set) []*simple.Functi
 		switch a.opts.FnPtr {
 		case Precise:
 			for _, ld := range a.llocs(ref, in) {
-				for _, t := range in.Targets(ld.l) {
+				in.RangeTargets(ld.l, func(t ptset.Triple) {
 					if t.Dst.Kind == loc.Func {
 						add(a.prog.Lookup(t.Dst.Obj.Name))
 					}
-				}
+				})
 			}
 		case AddrTaken:
 			for _, fn := range a.prog.Functions {

@@ -7,8 +7,10 @@
 // pointers, so a clone is one copy the garbage collector need not scan, the
 // lattice operations are linear merges, and the triples of one source are
 // one binary-searched run. IDs follow creation order, which under parallel
-// fan-out depends on the schedule, so ID order never leaves this package:
-// Triples and Targets sort by SortKey.
+// fan-out depends on the schedule. So ID order reaches only code whose
+// effect commutes, through Range and RangeTargets (the engine's set algebra,
+// target lookups it sorts itself); everything that names or prints sorts by
+// SortKey, as Triples and Targets do.
 package ptset
 
 import (
@@ -157,11 +159,20 @@ func (s Set) Targets(src *loc.Location) []Triple {
 		out[i] = s.b.triple(k)
 	}
 	if len(out) > 1 {
-		slices.SortFunc(out, func(x, y Triple) int {
-			return strings.Compare(x.Dst.SortKey(), y.Dst.SortKey())
-		})
+		slices.SortFunc(out, func(x, y Triple) int { return loc.Compare(x.Dst, y.Dst) })
 	}
 	return out
+}
+
+// RangeTargets calls f for every triple with source src, in ID order,
+// without allocating: the engine's hot paths use it where the effect
+// commutes, and Targets where the order shows. f must not change s.
+func (s Set) RangeTargets(src *loc.Location, f func(Triple)) {
+	keys := s.keys()
+	lo, hi := run(keys, src)
+	for _, k := range keys[lo:hi] {
+		f(s.b.triple(k))
+	}
 }
 
 // triple decodes key k.
@@ -209,6 +220,19 @@ func (s Set) Clone() Set {
 	return Set{&body{keys: slices.Clone(s.b.keys), tab: s.b.tab}}
 }
 
+// Share returns a set with the contents of s that shares its key array
+// where Clone would copy it. A Join into either set replaces that set's
+// array and never writes the shared one, so the two stay independent as
+// long as nobody changes s in place (Insert, Remove, Kill, Weaken) after
+// sharing it.
+func (s Set) Share() Set {
+	if s.b == nil {
+		return New()
+	}
+	b := *s.b
+	return Set{&b}
+}
+
 // Merge returns the join of a and b (paper's Merge): the union of edges,
 // where an edge definite in both stays definite and anything else becomes
 // possible. BOTTOM is the identity.
@@ -239,7 +263,11 @@ func table(a, b Set) *loc.Table {
 // conjunction of its def bits, and an edge in one only becomes P, since it
 // does not hold on the other path.
 func merge(x, y []uint64) []uint64 {
-	out := make([]uint64, 0, max(len(x), len(y)))
+	return mergeInto(make([]uint64, 0, max(len(x), len(y))), x, y)
+}
+
+// mergeInto appends the keys of the join of x and y to out.
+func mergeInto(out, x, y []uint64) []uint64 {
 	i, j := 0, 0
 	for i < len(x) && j < len(y) {
 		ex, ey := x[i]|defBit, y[j]|defBit
@@ -267,7 +295,9 @@ func merge(x, y []uint64) []uint64 {
 
 // Join merges o into s, leaving s (and every copy of it) equal to
 // Merge(s, o). BOTTOM o is the identity; joining into a BOTTOM s panics,
-// because BOTTOM cannot change in place.
+// because BOTTOM cannot change in place. Join never writes s's key array:
+// when the join equals s it keeps the array, and otherwise it copies the
+// keys before the first difference into a new one and merges from there.
 func (s Set) Join(o Set) {
 	if s.b.bottom {
 		panic("ptset: join into BOTTOM")
@@ -275,8 +305,34 @@ func (s Set) Join(o Set) {
 	if o.IsBottom() {
 		return
 	}
-	s.b.keys = merge(s.b.keys, o.keys())
+	x, y := s.b.keys, o.keys()
+	i, j, same := agree(x, y)
+	if same {
+		return
+	}
+	out := append(make([]uint64, 0, i+max(len(x)-i, len(y)-j)), x[:i]...)
+	s.b.keys = mergeInto(out, x[i:], y[j:])
 	s.b.tab = table(s, o)
+}
+
+// agree returns how far merge(x, y) reproduces x: the merge equals x[:i]
+// from x[:i] and y[:j] alone, and same reports whether it equals x.
+func agree(x, y []uint64) (i, j int, same bool) {
+	for ; i < len(x); i++ {
+		ex := x[i] | defBit
+		switch {
+		case j < len(y) && y[j]|defBit < ex:
+			return i, j, false // an edge only y has
+		case j < len(y) && y[j]|defBit == ex:
+			if x[i]&y[j] != x[i] {
+				return i, j, false // D in x, P in y
+			}
+			j++
+		case x[i]&defBit != 0:
+			return i, j, false // a D edge only x has becomes P
+		}
+	}
+	return i, j, j == len(y)
 }
 
 // MergeAll joins any number of sets.
@@ -343,10 +399,10 @@ func (s Set) Triples() []Triple {
 		out[i] = s.b.triple(k)
 	}
 	slices.SortFunc(out, func(x, y Triple) int {
-		if c := strings.Compare(x.Src.SortKey(), y.Src.SortKey()); c != 0 {
+		if c := loc.Compare(x.Src, y.Src); c != 0 {
 			return c
 		}
-		return strings.Compare(x.Dst.SortKey(), y.Dst.SortKey())
+		return loc.Compare(x.Dst, y.Dst)
 	})
 	return out
 }

@@ -334,12 +334,16 @@ func TestJoinEqualsMerge(t *testing.T) {
 		want := Merge(dst, src)
 		srcBefore := src.String()
 		got := dst.Clone()
+		shared := got.Share()
 		got.Join(src)
 		if !Equal(got, want) {
 			t.Fatalf("%s: Join(%s, %s) = %s, Merge = %s", name, dst, src, got, want)
 		}
 		if src.String() != srcBefore {
 			t.Fatalf("%s: Join changed its source from %s to %s", name, srcBefore, src)
+		}
+		if !Equal(shared, dst) {
+			t.Fatalf("%s: Join wrote the key array it shared: %s, was %s", name, shared, dst)
 		}
 	}
 	for i := 0; i < 500; i++ {
@@ -353,14 +357,35 @@ func TestJoinEqualsMerge(t *testing.T) {
 		check("BOTTOM source", a, NewBottom())
 	}
 
+	// A join that changes nothing keeps the receiver's keys.
 	s := New()
 	s.Insert(pool[0], pool[1], D)
+	s.Insert(pool[2], pool[3], P)
+	sub := New()
+	sub.Insert(pool[2], pool[3], D)
+	if n := testing.AllocsPerRun(100, func() { s.Join(sub) }); n != 0 {
+		t.Errorf("Join of a covered set allocated %v times", n)
+	}
+
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Join into BOTTOM did not panic")
 		}
 	}()
 	NewBottom().Join(s)
+}
+
+func TestRangeTargetsAllocationFree(t *testing.T) {
+	s := New()
+	s.Insert(pool[0], pool[1], D)
+	s.Insert(pool[0], pool[2], P)
+	n := 0
+	if a := testing.AllocsPerRun(100, func() { s.RangeTargets(pool[0], func(Triple) { n++ }) }); a != 0 {
+		t.Errorf("RangeTargets allocated %v times", a)
+	}
+	if n != 2*101 {
+		t.Errorf("RangeTargets visited %d triples in 101 runs, want %d", n, 2*101)
+	}
 }
 
 // model is the map-keyed set this package used before dense location IDs,
@@ -564,8 +589,15 @@ func compareWithModel(sets []Set, models []*model, locs []*loc.Location) error {
 			return fmt.Errorf("s%d: Len = %d, model %d", i, s.Len(), len(m.m))
 		}
 		for _, src := range locs {
-			if got, want := s.Targets(src), m.triples(src); !slices.Equal(got, want) {
+			want := m.triples(src)
+			if got := s.Targets(src); !slices.Equal(got, want) {
 				return fmt.Errorf("s%d: Targets(%s) = %v, model %v", i, src, got, want)
+			}
+			var ranged []Triple
+			s.RangeTargets(src, func(t Triple) { ranged = append(ranged, t) })
+			slices.SortFunc(ranged, func(x, y Triple) int { return loc.Compare(x.Dst, y.Dst) })
+			if !slices.Equal(ranged, want) {
+				return fmt.Errorf("s%d: RangeTargets(%s) = %v, model %v", i, src, ranged, want)
 			}
 			for _, dst := range locs {
 				d, ok := s.Lookup(src, dst)
