@@ -16,8 +16,11 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/cc/token"
 	"repro/internal/pta"
@@ -96,7 +99,7 @@ func Run(res *pta.Result) ([]Diag, error) {
 	if !res.Annots.ContextsEnabled() {
 		return nil, fmt.Errorf("check: analysis ran without Options.RecordContexts")
 	}
-	c := &checker{res: res}
+	c := &checker{res: res, ctxs: make(map[*invgraph.Node]*ctxKey)}
 	c.walk(res.Prog.GlobalInit, "<global init>")
 	for _, fn := range res.Prog.Functions {
 		c.walk(fn.Body, fn.Name())
@@ -121,6 +124,39 @@ func Run(res *pta.Result) ([]Diag, error) {
 type checker struct {
 	res   *pta.Result
 	diags []Diag
+	ctxs  map[*invgraph.Node]*ctxKey
+}
+
+// ctxKey is an invocation-graph node's sort key: its call path and the
+// positions of the call sites on it, from the root down.
+type ctxKey struct {
+	path  string
+	sites []token.Pos
+}
+
+// key returns n's sort key, computed once per Run.
+func (c *checker) key(n *invgraph.Node) *ctxKey {
+	k := c.ctxs[n]
+	if k == nil {
+		k = &ctxKey{path: n.Path()}
+		for cur := n; cur.Parent != nil; cur = cur.Parent {
+			k.sites = append(k.sites, cur.Site.Pos)
+		}
+		slices.Reverse(k.sites)
+		c.ctxs[n] = k
+	}
+	return k
+}
+
+// compareContexts orders contexts by call path and then by call sites, so
+// two calls of one function from one caller keep their textual order.
+func compareContexts(x, y *ctxKey) int {
+	if c := strings.Compare(x.path, y.path); c != 0 {
+		return c
+	}
+	return slices.CompareFunc(x.sites, y.sites, func(p, q token.Pos) int {
+		return cmp.Or(strings.Compare(p.File, q.File), cmp.Compare(p.Line, q.Line), cmp.Compare(p.Col, q.Col))
+	})
 }
 
 func (c *checker) walk(body *simple.Seq, fnName string) {
@@ -129,14 +165,24 @@ func (c *checker) walk(body *simple.Seq, fnName string) {
 		if !ok {
 			return
 		}
-		for _, r := range derefRefs(b) {
-			c.checkDeref(b, r, fnName)
-		}
+		refs := slices.DeleteFunc(derefRefs(b), func(r *simple.Ref) bool { return !pointerBase(r) })
+		var arg *simple.Ref
 		if b.Kind == simple.AsgnCall && b.Callee.Name == "free" &&
 			c.res.Prog.Lookup("free") == nil && len(b.Args) == 1 {
-			if arg, ok := b.Args[0].(*simple.Ref); ok {
-				c.checkFree(b, arg, fnName)
-			}
+			arg, _ = b.Args[0].(*simple.Ref)
+		}
+		if len(refs) == 0 && arg == nil {
+			return
+		}
+		nodes, ins := c.sortedContexts(b)
+		if len(nodes) == 0 {
+			return
+		}
+		for _, r := range refs {
+			c.checkDeref(b, r, fnName, nodes, ins)
+		}
+		if arg != nil {
+			c.checkFree(b, arg, fnName, nodes, ins)
 		}
 	})
 }
@@ -168,16 +214,16 @@ func derefRefs(b *simple.Basic) []*simple.Ref {
 	return out
 }
 
-// sortedContexts returns the invocation-graph nodes that analyzed b, in a
-// deterministic order.
+// sortedContexts returns the invocation-graph nodes that analyzed b, in
+// compareContexts order, and their inputs.
 func (c *checker) sortedContexts(b *simple.Basic) ([]*invgraph.Node, map[*invgraph.Node]ptset.Set) {
-	ctxs := c.res.Annots.ContextsAt(b)
-	nodes := make([]*invgraph.Node, 0, len(ctxs))
-	for n := range ctxs {
+	ins := c.res.Annots.ContextsAt(b)
+	nodes := make([]*invgraph.Node, 0, len(ins))
+	for n := range ins {
 		nodes = append(nodes, n)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Path() < nodes[j].Path() })
-	return nodes, ctxs
+	slices.SortFunc(nodes, func(x, y *invgraph.Node) int { return compareContexts(c.key(x), c.key(y)) })
+	return nodes, ins
 }
 
 // verdict is one context's judgement of a pointer use.
@@ -265,7 +311,7 @@ func (c *checker) report(b *simple.Basic, pos token.Pos, fnName string,
 			if worst == nil || (!worst.bad && vs[i].bad) ||
 				(!worst.definite && vs[i].definite) {
 				worst = &vs[i]
-				worstCtx = nodes[i].Path()
+				worstCtx = c.key(nodes[i]).path
 			}
 		}
 	}
@@ -275,7 +321,7 @@ func (c *checker) report(b *simple.Basic, pos token.Pos, fnName string,
 	sev := Warning
 	if definite == checked && worst.definite {
 		sev = Error
-		worstCtx = nodes[0].Path()
+		worstCtx = c.key(nodes[0]).path
 	}
 	kind, text := msg(*worst, sev)
 	if !pos.IsValid() {
@@ -287,17 +333,10 @@ func (c *checker) report(b *simple.Basic, pos token.Pos, fnName string,
 	})
 }
 
-func (c *checker) checkDeref(b *simple.Basic, r *simple.Ref, fnName string) {
-	if !pointerBase(r) {
-		return
-	}
-	nodes, ctxs := c.sortedContexts(b)
-	if len(nodes) == 0 {
-		return
-	}
+func (c *checker) checkDeref(b *simple.Basic, r *simple.Ref, fnName string, nodes []*invgraph.Node, ins map[*invgraph.Node]ptset.Set) {
 	vs := make([]verdict, len(nodes))
 	for i, n := range nodes {
-		vs[i] = c.derefVerdict(r, ctxs[n])
+		vs[i] = c.derefVerdict(r, ins[n])
 	}
 	c.report(b, r.Pos, fnName, nodes, vs, func(v verdict, sev Severity) (Kind, string) {
 		verb := "dereferences"
@@ -315,14 +354,10 @@ func (c *checker) checkDeref(b *simple.Basic, r *simple.Ref, fnName string) {
 	})
 }
 
-func (c *checker) checkFree(b *simple.Basic, arg *simple.Ref, fnName string) {
-	nodes, ctxs := c.sortedContexts(b)
-	if len(nodes) == 0 {
-		return
-	}
+func (c *checker) checkFree(b *simple.Basic, arg *simple.Ref, fnName string, nodes []*invgraph.Node, ins map[*invgraph.Node]ptset.Set) {
 	vs := make([]verdict, len(nodes))
 	for i, n := range nodes {
-		vs[i] = c.freeVerdict(arg, ctxs[n])
+		vs[i] = c.freeVerdict(arg, ins[n])
 	}
 	// A free with no information at all is not worth reporting.
 	anyBad := false

@@ -184,3 +184,30 @@ func TestBenchSuite(t *testing.T) {
 		t.Logf("%-10s errors=%d warnings=%d %s", name, errs, warns, strings.Join(parts, " "))
 	}
 }
+
+// TestSamePathContextsOrdered pins the diagnostic for a statement reached in
+// two contexts with one call path: g is called twice from f, once with NULL
+// and once with freed storage. Both contexts are bad in every way, so the
+// verdict named is the first context's, and contexts with equal paths are
+// ordered by their call sites: the g(a) call comes first.
+func TestSamePathContextsOrdered(t *testing.T) {
+	const src = `#include <stdlib.h>
+int g(int *p) { return *p; }
+int f(int *a, int *b) { return g(a) + g(b); }
+int main() { int *q = malloc(4); free(q); return f(0, q); }
+`
+	a, err := pointsto.AnalyzeSource("samepath.c", src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "samepath.c:2:24: error: null-deref: '*p' dereferences a NULL pointer [context: main -> f -> g]"
+	for i := 0; i < 50; i++ {
+		diags, err := a.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testutil.Render(diags); len(got) != 1 || got[0] != want {
+			t.Fatalf("run %d: got %q, want %q", i, got, want)
+		}
+	}
+}

@@ -61,15 +61,11 @@ func (a *analyzer) processBasic(b *simple.Basic, in ptset.Set, ign *invgraph.Nod
 	if !isPointerStmt(b) {
 		return in
 	}
-	lls := a.llocs(b.LHS, in)
-	rls := a.rlocs(b, in)
-	out := in.Clone()
-	a.applyAssign(out, lls, rls)
-	return out
+	return a.applyAssign(in, a.llocs(b.LHS, in), a.rlocs(b, in))
 }
 
-// applyAssign mutates s with the kill/change/gen sets of a pointer
-// assignment: L-locations lls receive the R-locations rls.
+// applyAssign returns s after a pointer assignment in which L-locations lls
+// receive the R-locations rls, by its kill/change/gen sets:
 //
 //	kill:   all relationships from definite, single L-locations
 //	change: definite relationships from possible or multi L-locations
@@ -80,23 +76,25 @@ func (a *analyzer) processBasic(b *simple.Basic, in ptset.Set, ign *invgraph.Nod
 //	        such as a_tail is allowed — Table 1 gives &a[i>0] the R-set
 //	        {(a_tail, D)} — because only source-side definiteness drives
 //	        strong kills.)
-func (a *analyzer) applyAssign(s ptset.Set, lls, rls []locD) {
+func (a *analyzer) applyAssign(s ptset.Set, lls, rls []locD) ptset.Set {
+	var killBuf, weakenBuf [4]*loc.Location
+	var genBuf [16]ptset.Triple
+	kill, weaken, gen := killBuf[:0], weakenBuf[:0], genBuf[:0]
 	for _, p := range lls {
 		if p.d == ptset.D && !p.l.Multi() && !a.opts.NoDefinite {
-			s.Kill(p.l)
+			kill = append(kill, p.l)
 		} else {
-			s.Weaken(p.l)
+			weaken = append(weaken, p.l)
 		}
-	}
-	for _, p := range lls {
 		for _, x := range rls {
 			d := p.d.And(x.d)
 			if p.l.Multi() || a.opts.NoDefinite {
 				d = ptset.P
 			}
-			s.Insert(p.l, x.l, d)
+			gen = append(gen, ptset.Triple{Src: p.l, Dst: x.l, Def: d})
 		}
 	}
+	return s.Update(kill, weaken, gen)
 }
 
 // externalReturnsArg maps library functions that return one of their
@@ -140,9 +138,7 @@ func (a *analyzer) processExternalCall(b *simple.Basic, in ptset.Set) ptset.Set 
 			b.Pos, b.Callee.Name)
 		rls = []locD{{a.tab.NullLoc(), ptset.P}}
 	}
-	out := in.Clone()
-	a.applyAssign(out, a.llocs(b.LHS, in), rls)
-	return out
+	return a.applyAssign(in, a.llocs(b.LHS, in), rls)
 }
 
 // processFree models free(p): every relationship (l, heap, d) where l is an
@@ -161,21 +157,28 @@ func (a *analyzer) processFree(b *simple.Basic, in ptset.Set) ptset.Set {
 	if !ok {
 		return in
 	}
+	// A strong update kills the source and generates its edges again, the
+	// heap ones retargeted to freed.
 	freed := a.tab.FreedLoc()
-	out := in.Clone()
+	var kill []*loc.Location
+	var gen []ptset.Triple
 	for _, ld := range a.llocs(arg, in) {
 		strong := ld.d == ptset.D && !ld.l.Multi() && !a.opts.NoDefinite
+		if strong {
+			kill = append(kill, ld.l)
+		}
 		in.RangeTargets(ld.l, func(t ptset.Triple) {
-			if t.Dst.Kind != loc.Heap {
-				return
-			}
-			if strong {
-				out.Remove(ld.l, t.Dst)
-				out.Insert(ld.l, freed, t.Def)
-			} else {
-				out.Insert(ld.l, freed, ptset.P)
+			switch {
+			case t.Dst.Kind != loc.Heap:
+				if strong {
+					gen = append(gen, t)
+				}
+			case strong:
+				gen = append(gen, ptset.Triple{Src: ld.l, Dst: freed, Def: t.Def})
+			default:
+				gen = append(gen, ptset.Triple{Src: ld.l, Dst: freed, Def: ptset.P})
 			}
 		})
 	}
-	return out
+	return in.Update(kill, nil, gen)
 }

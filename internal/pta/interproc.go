@@ -281,10 +281,15 @@ func (a *analyzer) mapProcess(in ptset.Set, b *simple.Basic, callee *simple.Func
 	}
 
 	// Pass 2: emit the mapped relationships. Insertion is commutative, so
-	// unordered iteration is safe and avoids sorting the whole set.
+	// unordered iteration is safe and avoids sorting the whole set. Range
+	// visits a source's triples together, so its names are computed once.
 	funcInput := ptset.New()
+	var src *loc.Location
+	var srcs []*loc.Location
 	in.Range(func(t ptset.Triple) {
-		srcs := mi.calleeNamesOf(a, t.Src, false)
+		if t.Src != src {
+			src, srcs = t.Src, mi.calleeNamesOf(a, t.Src, false)
+		}
 		if len(srcs) == 0 {
 			return
 		}
@@ -354,9 +359,14 @@ func (a *analyzer) unmapProcess(callerIn, funcOut ptset.Set, mi *MapInfo, b *sim
 		return ptset.NewBottom()
 	}
 	out := callerIn.Clone()
+	var src *loc.Location
 	callerIn.Range(func(t ptset.Triple) {
-		if t.Src.IsGlobalish() || len(mi.calleeNamesOf(a, t.Src, true)) > 0 {
-			out.Kill(t.Src)
+		if t.Src == src {
+			return // a source's triples come together: it is decided
+		}
+		src = t.Src
+		if src.IsGlobalish() || len(mi.calleeNamesOf(a, src, true)) > 0 {
+			out.Kill(src)
 		}
 	})
 	funcOut.Range(func(t ptset.Triple) {
@@ -380,19 +390,18 @@ func (a *analyzer) unmapProcess(callerIn, funcOut ptset.Set, mi *MapInfo, b *sim
 			}
 		}
 	})
-	a.applyReturnValue(out, funcOut, mi, b, callee)
-	return out
+	return a.applyReturnValue(out, funcOut, mi, b, callee)
 }
 
-// applyReturnValue assigns the callee's __retval relationships to the call
-// LHS, as the assignment lhs = retval.
-func (a *analyzer) applyReturnValue(out, funcOut ptset.Set, mi *MapInfo, b *simple.Basic, callee *simple.Function) {
+// applyReturnValue returns out after assigning the callee's __retval
+// relationships to the call LHS, as the assignment lhs = retval.
+func (a *analyzer) applyReturnValue(out, funcOut ptset.Set, mi *MapInfo, b *simple.Basic, callee *simple.Function) ptset.Set {
 	if b.LHS == nil || callee.RetVal == nil {
-		return
+		return out
 	}
 	rt := callee.RetVal.Type
 	if rt == nil || !rt.HasPointers() {
-		return
+		return out
 	}
 	for _, path := range loc.PointerPaths(rt) {
 		rv := a.tab.VarLoc(callee.RetVal, path)
@@ -408,9 +417,9 @@ func (a *analyzer) applyReturnValue(out, funcOut ptset.Set, mi *MapInfo, b *simp
 			}
 		})
 		lhsRef := refWithElems(b.LHS, path)
-		lls := a.llocs(lhsRef, out)
-		a.applyAssign(out, lls, set)
+		out = a.applyAssign(out, a.llocs(lhsRef, out), set)
 	}
+	return out
 }
 
 // refWithElems extends a SIMPLE reference by location path elements
@@ -658,8 +667,9 @@ func (a *analyzer) processIndirectCall(b *simple.Basic, in ptset.Set, ign *invgr
 	// Create the children serially in sorted target order, so the invocation
 	// graph (and any recursion approximation it triggers) is identical to
 	// the serial analysis, then evaluate the target subtrees in parallel.
-	// Each target gets its own input clone, and the outputs are merged in
-	// index order, so the result is bit-identical for every worker count.
+	// Each target gets its own input, with the pointer bound to it, and the
+	// outputs are merged in index order, so the result is bit-identical for
+	// every worker count.
 	children := make([]*invgraph.Node, len(targets))
 	for i, fn := range targets {
 		children[i] = a.g.AddIndirectChild(ign, b, fn)
@@ -668,14 +678,8 @@ func (a *analyzer) processIndirectCall(b *simple.Basic, in ptset.Set, ign *invgr
 	a.runParallel(tk, len(targets), func(i int, tk obsv.Track) {
 		fn := targets[i]
 		// While analyzing target fn, the pointer definitely points to it.
-		inF := in.Clone()
-		inF.Kill(fpLoc)
-		inF.Insert(fpLoc, a.tab.FuncLoc(fn.Obj), ptset.D)
+		inF := in.Update([]*loc.Location{fpLoc}, nil, []ptset.Triple{{Src: fpLoc, Dst: a.tab.FuncLoc(fn.Obj), Def: ptset.D}})
 		outs[i] = a.invoke(children[i], b, fn, inF, tk)
 	})
-	callOutput := ptset.NewBottom()
-	for _, out := range outs {
-		callOutput = ptset.Merge(callOutput, out)
-	}
-	return callOutput
+	return ptset.MergeAll(outs...)
 }

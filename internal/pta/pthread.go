@@ -123,17 +123,17 @@ func (a *analyzer) processPthreadCreate(b *simple.Basic, in ptset.Set, ign *invg
 
 	// Children are created serially in sorted entry order (like indirect
 	// call fan-out) so the graph is identical for every worker count; the
-	// subtrees then evaluate in parallel on cloned inputs and merge in
-	// index order.
+	// subtrees then evaluate in parallel on the shared, unchanged input and
+	// merge in index order.
 	children := make([]*invgraph.Node, len(targets))
 	for i, fn := range targets {
 		children[i] = a.g.AddThreadChild(ign, b, fn)
 	}
 	outs := make([]ptset.Set, len(targets))
 	a.runParallel(tk, len(targets), func(i int, tk obsv.Track) {
-		outs[i] = a.invoke(children[i], synth, targets[i], in.Clone(), tk)
+		outs[i] = a.invoke(children[i], synth, targets[i], in, tk)
 	})
-	out := in.Clone()
+	out := in
 	for _, o := range outs {
 		out = ptset.Merge(out, o)
 	}

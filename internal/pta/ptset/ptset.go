@@ -11,9 +11,18 @@
 // effect commutes, through Range and RangeTargets (the engine's set algebra,
 // target lookups it sorts itself); everything that names or prints sorts by
 // SortKey, as Triples and Targets do.
+//
+// Sets are copied on change. No set is written in place once any other
+// caller holds it, so sets share key arrays freely: Update returns its
+// input when a transfer function changes nothing, and rebuilds only the
+// runs it changes otherwise; Merge and MergeAll return an operand that
+// equals the join; Share and Join let an accumulator keep the array it
+// was given until a join changes it. Insert and Kill write in place and
+// act only on a set their caller has just built.
 package ptset
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 
@@ -117,9 +126,11 @@ func run(keys []uint64, src *loc.Location) (lo, hi int) {
 	return lo, hi
 }
 
-// Insert adds (src, dst, d), weakening to P when the edge already exists
-// with a different definiteness. Inserting into BOTTOM panics: BOTTOM must
-// be replaced by Merge before use.
+// Insert adds (src, dst, d) in place, weakening to P when the edge already
+// exists with a different definiteness. It is only for a set its caller
+// has just built (a New set or a Clone); Update changes a set that others
+// may hold. Inserting into BOTTOM panics: BOTTOM must be replaced by Merge
+// before use.
 func (s Set) Insert(src, dst *loc.Location, d Def) {
 	b := s.b
 	if b.bottom {
@@ -180,17 +191,8 @@ func (b *body) triple(k uint64) Triple {
 	return Triple{b.tab.At(uint32(k >> 33)), b.tab.At(uint32(k >> 1)), k&defBit != 0}
 }
 
-// Remove deletes the single edge (src, dst) if present.
-func (s Set) Remove(src, dst *loc.Location) {
-	if s.b == nil {
-		return
-	}
-	if i, ok := find(s.b.keys, src, dst); ok {
-		s.b.keys = slices.Delete(s.b.keys, i, i+1)
-	}
-}
-
-// Kill removes every relationship whose source is src.
+// Kill removes every relationship whose source is src, in place, so like
+// Insert it is only for a set its caller has just built.
 func (s Set) Kill(src *loc.Location) {
 	if s.b == nil {
 		return
@@ -200,16 +202,134 @@ func (s Set) Kill(src *loc.Location) {
 	}
 }
 
-// Weaken turns every definite relationship from src into a possible one.
-func (s Set) Weaken(src *loc.Location) {
-	keys := s.keys()
-	lo, hi := run(keys, src)
-	for i := lo; i < hi; i++ {
-		keys[i] &^= defBit
+// Update returns s after one transfer function (paper Figure 1): every
+// relationship from a kill source goes, every definite one from a weaken
+// source becomes possible, and then each gen triple is inserted as Insert
+// would. A kill wins over a weaken of the same source. s is not changed:
+// Update rebuilds only the runs of the sources it touches, and when none
+// of them changes it returns s itself, so callers may share its result
+// with its input.
+func (s Set) Update(kill, weaken []*loc.Location, gen []Triple) Set {
+	if s.IsBottom() {
+		panic("ptset: update of BOTTOM")
 	}
+	// The sources touched, in ID order, each with its rule.
+	var srcBuf [8]source
+	srcs := srcBuf[:0]
+	touch := func(l *loc.Location, rule uint8) {
+		for i := range srcs {
+			if srcs[i].l == l {
+				srcs[i].rule = max(srcs[i].rule, rule)
+				return
+			}
+		}
+		srcs = append(srcs, source{l, rule})
+	}
+	for _, l := range kill {
+		touch(l, ruleKill)
+	}
+	for _, l := range weaken {
+		touch(l, ruleWeaken)
+	}
+	var genBuf [16]uint64
+	gens := genBuf[:0]
+	for _, t := range gen {
+		touch(t.Src, ruleGen)
+		gens = append(gens, key(t.Src, t.Dst, t.Def))
+	}
+	slices.SortFunc(srcs, func(x, y source) int { return cmp.Compare(x.l.ID(), y.l.ID()) })
+	// Sorted, the gens of one edge are adjacent with P first, so keeping
+	// the first of each edge conjoins their def bits.
+	slices.Sort(gens)
+	gens = slices.CompactFunc(gens, func(x, y uint64) bool { return x|defBit == y|defBit })
+
+	// Build each touched source's new run into runs, and keep the spans of
+	// the runs that change.
+	keys := s.keys()
+	var runBuf [32]uint64
+	runs := runBuf[:0]
+	var spanBuf [8]span
+	spans := spanBuf[:0]
+	size := len(keys)
+	for _, src := range srcs {
+		lo, hi := run(keys, src.l)
+		glo, ghi := run(gens, src.l)
+		start := len(runs)
+		runs = src.rebuild(runs, keys[lo:hi], gens[glo:ghi])
+		if slices.Equal(runs[start:], keys[lo:hi]) {
+			runs = runs[:start]
+			continue
+		}
+		spans = append(spans, span{lo, hi, start, len(runs)})
+		size += len(runs) - start - (hi - lo)
+	}
+	if len(spans) == 0 {
+		return s
+	}
+	out := make([]uint64, 0, size)
+	prev := 0
+	for _, sp := range spans {
+		out = append(append(out, keys[prev:sp.lo]...), runs[sp.start:sp.end]...)
+		prev = sp.hi
+	}
+	out = append(out, keys[prev:]...)
+	tab := table(s, Set{})
+	if tab == nil {
+		tab = gen[0].Src.Table() // s was empty, so only gens changed it
+	}
+	return Set{&body{keys: out, tab: tab}}
 }
 
-// Clone returns a deep, mutable copy.
+// Rules of a source touched by Update, in the order a stronger one wins.
+const (
+	ruleGen    uint8 = iota // only gens
+	ruleWeaken              // its definite relationships become possible
+	ruleKill                // its relationships go
+)
+
+// source is a source location touched by Update.
+type source struct {
+	l    *loc.Location
+	rule uint8
+}
+
+// span records that Update replaces the run keys[lo:hi] with runs[start:end].
+type span struct{ lo, hi, start, end int }
+
+// rebuild appends to out the source's new run: old after its kill or
+// weaken rule, joined with the sorted, edge-unique gen keys g as Insert
+// would join them.
+func (src source) rebuild(out, old, g []uint64) []uint64 {
+	if src.rule == ruleKill {
+		old = nil
+	}
+	var weaken uint64
+	if src.rule == ruleWeaken {
+		weaken = defBit
+	}
+	i, j := 0, 0
+	for i < len(old) && j < len(g) {
+		eo, eg := old[i]|defBit, g[j]|defBit
+		switch {
+		case eo < eg:
+			out = append(out, old[i]&^weaken)
+			i++
+		case eg < eo:
+			out = append(out, g[j])
+			j++
+		default:
+			out = append(out, old[i]&^weaken&g[j])
+			i++
+			j++
+		}
+	}
+	for _, k := range old[i:] {
+		out = append(out, k&^weaken)
+	}
+	return append(out, g[j:]...)
+}
+
+// Clone returns a deep copy its caller may change in place.
 func (s Set) Clone() Set {
 	if s.b == nil {
 		return New()
@@ -223,8 +343,7 @@ func (s Set) Clone() Set {
 // Share returns a set with the contents of s that shares its key array
 // where Clone would copy it. A Join into either set replaces that set's
 // array and never writes the shared one, so the two stay independent as
-// long as nobody changes s in place (Insert, Remove, Kill, Weaken) after
-// sharing it.
+// long as nobody changes s in place (Insert, Kill) after sharing it.
 func (s Set) Share() Set {
 	if s.b == nil {
 		return New()
@@ -235,17 +354,24 @@ func (s Set) Share() Set {
 
 // Merge returns the join of a and b (paper's Merge): the union of edges,
 // where an edge definite in both stays definite and anything else becomes
-// possible. BOTTOM is the identity.
+// possible. BOTTOM is the identity. When the join equals an operand, Merge
+// returns that operand itself rather than a copy.
 func Merge(a, b Set) Set {
 	switch {
-	case a.IsBottom() && b.IsBottom():
-		return NewBottom()
 	case a.IsBottom():
-		return b.Clone()
+		return b
 	case b.IsBottom():
-		return a.Clone()
+		return a
 	}
-	return Set{&body{keys: merge(a.keys(), b.keys()), tab: table(a, b)}}
+	x, y := a.keys(), b.keys()
+	i, j, same := agree(x, y)
+	if same {
+		return a
+	}
+	if _, _, same := agree(y, x); same {
+		return b
+	}
+	return Set{&body{keys: joinKeys(x, y, i, j), tab: table(a, b)}}
 }
 
 // table returns the location table of whichever of a and b has one.
@@ -259,14 +385,16 @@ func table(a, b Set) *loc.Table {
 	return nil
 }
 
-// merge returns the keys of the join of x and y: an edge in both keeps the
-// conjunction of its def bits, and an edge in one only becomes P, since it
-// does not hold on the other path.
-func merge(x, y []uint64) []uint64 {
-	return mergeInto(make([]uint64, 0, max(len(x), len(y))), x, y)
+// joinKeys returns the keys of the join of x and y in a new array, given
+// agree's prefix: x[:i] is copied as it is and the rest merged.
+func joinKeys(x, y []uint64, i, j int) []uint64 {
+	out := append(make([]uint64, 0, i+max(len(x)-i, len(y)-j)), x[:i]...)
+	return mergeInto(out, x[i:], y[j:])
 }
 
-// mergeInto appends the keys of the join of x and y to out.
+// mergeInto appends the keys of the join of x and y to out: an edge in both
+// keeps the conjunction of its def bits, and an edge in one only becomes P,
+// since it does not hold on the other path.
 func mergeInto(out, x, y []uint64) []uint64 {
 	i, j := 0, 0
 	for i < len(x) && j < len(y) {
@@ -310,8 +438,7 @@ func (s Set) Join(o Set) {
 	if same {
 		return
 	}
-	out := append(make([]uint64, 0, i+max(len(x)-i, len(y)-j)), x[:i]...)
-	s.b.keys = mergeInto(out, x[i:], y[j:])
+	s.b.keys = joinKeys(x, y, i, j)
 	s.b.tab = table(s, o)
 }
 
@@ -335,10 +462,14 @@ func agree(x, y []uint64) (i, j int, same bool) {
 	return i, j, j == len(y)
 }
 
-// MergeAll joins any number of sets.
+// MergeAll joins any number of sets, BOTTOM for none. Like Merge, it
+// returns an operand that equals the join.
 func MergeAll(sets ...Set) Set {
-	out := NewBottom()
-	for _, s := range sets {
+	if len(sets) == 0 {
+		return NewBottom()
+	}
+	out := sets[0]
+	for _, s := range sets[1:] {
 		out = Merge(out, s)
 	}
 	return out
@@ -379,9 +510,11 @@ func Equal(a, b Set) bool {
 	return slices.Equal(a.keys(), b.keys())
 }
 
-// Range calls f for every triple in unspecified order. Use it in hot paths
-// whose effects are order-independent (Insert and Kill are commutative);
-// use Triples when deterministic iteration matters. f must not change s.
+// Range calls f for every triple in ID order, which depends on the
+// schedule, but visits the triples of one source together. Use it in hot
+// paths whose effects are order-independent (Insert and Kill are
+// commutative); use Triples when deterministic iteration matters. f must
+// not change s.
 func (s Set) Range(f func(Triple)) {
 	for _, k := range s.keys() {
 		f(s.b.triple(k))

@@ -87,9 +87,12 @@ func TestKillAndWeaken(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("kill should leave 1 edge, got %d", s.Len())
 	}
-	s.Weaken(pool[3])
-	if d, _ := s.Lookup(pool[3], pool[1]); d != P {
+	w := s.Update(nil, []*loc.Location{pool[3]}, nil)
+	if d, _ := w.Lookup(pool[3], pool[1]); d != P {
 		t.Fatal("weaken should turn D into P")
+	}
+	if d, _ := s.Lookup(pool[3], pool[1]); d != D {
+		t.Fatal("Update changed its input")
 	}
 }
 
@@ -213,7 +216,6 @@ func TestQuickCloneIndependent(t *testing.T) {
 		// Mutating the clone must leave the original untouched.
 		c.Insert(pool[7], pool[7], P)
 		c.Kill(pool[0])
-		c.Weaken(pool[1])
 		return fmt.Sprint(a.Triples()) == snapshot
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -406,8 +408,6 @@ func (s *model) insert(src, dst *loc.Location, d Def) {
 	s.m[e] = d
 }
 
-func (s *model) remove(src, dst *loc.Location) { delete(s.m, [2]*loc.Location{src, dst}) }
-
 func (s *model) kill(src *loc.Location) {
 	for e := range s.m {
 		if e[0] == src {
@@ -497,12 +497,18 @@ func (s *model) triples(src *loc.Location) []Triple {
 	return out
 }
 
-// TestAgainstModel runs seeded random sequences of Insert, Remove, Kill,
-// Weaken, Join, Merge, Clone and plain copies over a few set slots, each
+// TestAgainstModel runs seeded random sequences of Insert, Kill, Update,
+// Join, Merge, MergeAll, Clone and plain copies over a few set slots, each
 // paired with the map model, and after every operation compares Triples,
 // Len, Lookup and Targets of every slot and Subset and Equal of every pair
-// of slots. The location pool's ID order is the reverse of its SortKey
-// order, so any ID order that leaks into a result shows.
+// of slots. Following the package contract, Insert, Kill and Join act only
+// on a set built in the same step, so sets that share contents never
+// change under each other. Update is checked against the model's
+// sequential kill, weaken and insert over duplicate gens, gens of both D
+// and P for one edge, weakens and gens of one source and kills of absent
+// sources; it and Merge must return an input whose contents they keep. The
+// location pool's ID order is the reverse of its SortKey order, so any ID
+// order that leaks into a result shows.
 func TestAgainstModel(t *testing.T) {
 	locs := testLocs(6)
 	const slots = 4
@@ -513,52 +519,80 @@ func TestAgainstModel(t *testing.T) {
 		for i := range sets {
 			sets[i], models[i] = New(), newModel()
 		}
+		pick := func() *loc.Location { return locs[r.Intn(len(locs))] }
 		var trace []string
 		for step := 0; step < 150; step++ {
-			i, j := r.Intn(slots), r.Intn(slots)
-			src, dst := locs[r.Intn(len(locs))], locs[r.Intn(len(locs))]
+			i, j, o := r.Intn(slots), r.Intn(slots), r.Intn(slots)
+			src, dst := pick(), pick()
 			s, m := sets[i], models[i]
 			var op string
 			switch k := r.Intn(20); {
-			case k < 7:
+			case k < 5:
 				d := Def(r.Intn(3) > 0)
-				op = fmt.Sprintf("s%d.Insert(%s,%s,%s)", i, src, dst, d)
+				op = fmt.Sprintf("s%d = s%d.Clone(); s%d.Insert(%s,%s,%s)", i, i, i, src, dst, d)
 				if m.bottom {
-					sets[i], models[i] = New(), newModel()
-					s, m = sets[i], models[i]
+					s, m = New(), newModel()
+				} else {
+					s, m = s.Clone(), m.clone()
 				}
 				s.Insert(src, dst, d)
 				m.insert(src, dst, d)
-			case k < 9:
-				op = fmt.Sprintf("s%d.Remove(%s,%s)", i, src, dst)
-				s.Remove(src, dst)
-				if !m.bottom {
-					m.remove(src, dst)
-				}
-			case k < 11:
-				op = fmt.Sprintf("s%d.Kill(%s)", i, src)
+				sets[i], models[i] = s, m
+			case k < 7:
+				op = fmt.Sprintf("s%d = s%d.Clone(); s%d.Kill(%s)", i, i, i, src)
+				s, m = s.Clone(), m.clone()
 				s.Kill(src)
 				if !m.bottom {
 					m.kill(src)
 				}
-			case k < 13:
-				op = fmt.Sprintf("s%d.Weaken(%s)", i, src)
-				s.Weaken(src)
-				if !m.bottom {
-					m.weaken(src)
-				}
-			case k < 15:
-				op = fmt.Sprintf("s%d.Join(s%d)", i, j)
+				sets[i], models[i] = s, m
+			case k < 11:
 				if m.bottom {
 					continue
 				}
+				kill, weaken, gen := randomUpdate(r, pick)
+				op = fmt.Sprintf("s%d = s%d.Update(%v, %v, %v)", o, i, kill, weaken, gen)
+				want := m.clone()
+				for _, l := range kill {
+					want.kill(l)
+				}
+				for _, l := range weaken {
+					want.weaken(l)
+				}
+				for _, g := range gen {
+					want.insert(g.Src, g.Dst, g.Def)
+				}
+				got := s.Update(kill, weaken, gen)
+				if same := got.b == s.b; same != modelEqual(want, m) {
+					t.Fatalf("seed %d: %s returned its input: %v, want %v", seed, op, same, !same)
+				}
+				sets[o], models[o] = got, want
+			case k < 13:
+				op = fmt.Sprintf("s%d = s%d.Share(); s%d.Join(s%d)", i, i, i, j)
+				if m.bottom {
+					continue
+				}
+				s = s.Share()
 				s.Join(sets[j])
-				*m = *modelMerge(m, models[j])
-			case k < 17:
-				o := r.Intn(slots)
+				sets[i], models[i] = s, modelMerge(m, models[j])
+			case k < 15:
 				op = fmt.Sprintf("s%d = Merge(s%d, s%d)", o, i, j)
-				sets[o], models[o] = Merge(s, sets[j]), modelMerge(m, models[j])
-			case k < 18:
+				got, want := Merge(s, sets[j]), modelMerge(m, models[j])
+				if modelEqual(want, m) && got.b != s.b && got.b != sets[j].b ||
+					modelEqual(want, models[j]) && got.b != sets[j].b && got.b != s.b {
+					t.Fatalf("seed %d: %s copied an operand equal to the join", seed, op)
+				}
+				sets[o], models[o] = got, want
+			case k < 16:
+				n := r.Intn(4)
+				op = fmt.Sprintf("s%d = MergeAll(s%d, s%d, s%d)[:%d]", o, i, j, o, n)
+				ins := []Set{s, sets[j], sets[o]}[:n]
+				want := &model{bottom: true}
+				for _, x := range []*model{m, models[j], models[o]}[:n] {
+					want = modelMerge(want, x)
+				}
+				sets[o], models[o] = MergeAll(ins...), want
+			case k < 17:
 				op = fmt.Sprintf("s%d = s%d.Clone()", j, i)
 				sets[j], models[j] = s.Clone(), m.clone()
 			case k < 19:
@@ -573,6 +607,93 @@ func TestAgainstModel(t *testing.T) {
 				t.Fatalf("seed %d after %s: %v", seed, strings.Join(trace, "; "), err)
 			}
 		}
+	}
+}
+
+// randomUpdate draws the kill, weaken and gen sets of one Update over the
+// locations pick returns. Kill sources are often absent from the set, a
+// gen is often repeated with either definiteness, and a gen's source is
+// often weakened as well.
+func randomUpdate(r *rand.Rand, pick func() *loc.Location) (kill, weaken []*loc.Location, gen []Triple) {
+	for n := r.Intn(3); n > 0; n-- {
+		kill = append(kill, pick())
+	}
+	for n := r.Intn(3); n > 0; n-- {
+		weaken = append(weaken, pick())
+	}
+	for n := r.Intn(5); n > 0; n-- {
+		g := Triple{pick(), pick(), Def(r.Intn(3) > 0)}
+		gen = append(gen, g)
+		switch r.Intn(4) {
+		case 0:
+			gen = append(gen, Triple{g.Src, g.Dst, !g.Def})
+		case 1:
+			gen = append(gen, g)
+		case 2:
+			weaken = append(weaken, g.Src)
+		}
+	}
+	r.Shuffle(len(gen), func(a, b int) { gen[a], gen[b] = gen[b], gen[a] })
+	return kill, weaken, gen
+}
+
+// TestUpdateSharesUnchanged checks the copy-on-change contract: an Update
+// that changes nothing, and a Merge whose join equals an operand, return
+// that input itself without allocating.
+func TestUpdateSharesUnchanged(t *testing.T) {
+	s := New()
+	s.Insert(pool[0], pool[1], D)
+	s.Insert(pool[0], pool[2], P)
+	s.Insert(pool[3], pool[1], P)
+	// Kill an absent source, weaken one with P edges only, and generate
+	// edges that are there at least as weak.
+	kill := []*loc.Location{pool[5]}
+	weaken := []*loc.Location{pool[3]}
+	gen := []Triple{{pool[0], pool[1], D}, {pool[3], pool[1], D}, {pool[3], pool[1], P}}
+	var got Set
+	if n := testing.AllocsPerRun(100, func() { got = s.Update(kill, weaken, gen) }); n != 0 {
+		t.Errorf("an Update that changes nothing allocated %v times", n)
+	}
+	if &got.keys()[0] != &s.keys()[0] {
+		t.Error("an Update that changes nothing copied the key array")
+	}
+
+	// One changed def bit is a change.
+	if got := s.Update(nil, []*loc.Location{pool[0]}, nil); got.b == s.b || Equal(got, s) {
+		t.Errorf("weakening a D edge returned %s for %s", got, s)
+	}
+	if got := s.Update(nil, nil, []Triple{{pool[0], pool[1], P}}); got.b == s.b || Equal(got, s) {
+		t.Errorf("a P gen of a D edge returned %s for %s", got, s)
+	}
+
+	same := s.Clone()
+	sub := New() // s without its P edge (v0,v2), so their join is s
+	sub.Insert(pool[0], pool[1], D)
+	sub.Insert(pool[3], pool[1], P)
+	bottom := NewBottom()
+	for _, c := range []struct {
+		name       string
+		a, b, want Set
+	}{
+		{"BOTTOM, s", bottom, s, s},
+		{"s, BOTTOM", s, bottom, s},
+		{"s, equal", s, same, s},
+		{"covered, s", sub, s, s},
+		{"s, covered", s, sub, s},
+	} {
+		var got Set
+		if n := testing.AllocsPerRun(100, func() { got = Merge(c.a, c.b) }); n != 0 {
+			t.Errorf("Merge(%s) allocated %v times", c.name, n)
+		}
+		if got.b != c.want.b {
+			t.Errorf("Merge(%s) did not return its operand", c.name)
+		}
+	}
+	// A P edge only the other operand has is a change.
+	extra := s.Clone()
+	extra.Insert(pool[4], pool[1], P)
+	if got := Merge(s, extra); got.b != extra.b || Equal(got, s) {
+		t.Errorf("Merge(s, s+P edge) = %s", got)
 	}
 }
 

@@ -274,7 +274,7 @@ func (d *detector) nodeInput(n *invgraph.Node, b *simple.Basic) (ptset.Set, bool
 // by the thread, hence shared. Globals, the heap and string storage are
 // shared by definition (IsGlobalish) and need no entry here.
 func (d *detector) computeShared() {
-	universe := d.res.MainOut.Clone()
+	universe := d.res.MainOut
 	for _, t := range d.threads {
 		if t.main {
 			continue
