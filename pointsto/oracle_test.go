@@ -3,6 +3,7 @@ package pointsto_test
 import (
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/pta"
 	"repro/internal/ptagen"
+	"repro/internal/report"
 	"repro/internal/simple"
 	"repro/internal/testutil"
 	"repro/pointsto"
@@ -20,8 +22,11 @@ import (
 // the gen-check program (ptagen -preset mid -depth 3 -width 3 -seed 1), the
 // SHA-256 of pta.Fingerprint, the recorded facts and the engine counters of
 // a serial run, as AnalyzeProgram configures an exhaustive run. The
-// fingerprint must also be the same at 2 and 8 workers. Rewrite the golden
-// with -update; any change to it is a change to the analysis's output.
+// fingerprint must also be the same at 2 and 8 workers. The same serial
+// run pins the clients in clients.golden: the error and warning counts and
+// the SHA-256 of the Check, Races and Taint diagnostics as mccat-pta prints
+// them. Rewrite the goldens with -update; any change to them is a change to
+// the analysis's or a client's output.
 func TestOracleGolden(t *testing.T) {
 	type program struct {
 		name string
@@ -43,7 +48,7 @@ func TestOracleGolden(t *testing.T) {
 	}
 	progs = append(progs, program{meta.Name, prog})
 
-	var sb strings.Builder
+	var sb, clients strings.Builder
 	for _, p := range progs {
 		var serial string
 		for _, w := range []int{1, 2, 8} {
@@ -62,7 +67,39 @@ func TestOracleGolden(t *testing.T) {
 			m := a.Result.Metrics
 			fmt.Fprintf(&sb, "%s fingerprint_sha256=%s facts=%d steps=%d memo_hits=%d memo_misses=%d node_evals=%d peak_set=%d\n",
 				p.name, fp, a.Result.Annots.TotalFacts(), m.Steps, m.MemoHits, m.MemoMisses, m.NodeEvals, m.PeakSet)
+			writeClients(t, &clients, p.name, a)
 		}
 	}
 	testutil.Golden(t, filepath.Join("testdata", "oracle.golden"), sb.String())
+	testutil.Golden(t, filepath.Join("testdata", "clients.golden"), clients.String())
+}
+
+// writeClients appends one clients.golden line for analysis a.
+func writeClients(t *testing.T, sb *strings.Builder, name string, a *pointsto.Analysis) {
+	t.Helper()
+	cd, err := a.Check()
+	if err != nil {
+		t.Fatalf("%s: check: %v", name, err)
+	}
+	rd, err := a.Races()
+	if err != nil {
+		t.Fatalf("%s: race: %v", name, err)
+	}
+	td, err := a.Taint()
+	if err != nil {
+		t.Fatalf("%s: taint: %v", name, err)
+	}
+	digest := func(client string, write func(io.Writer), errs, warns int) {
+		h := sha256.New()
+		write(h)
+		fmt.Fprintf(sb, " %s_errors=%d %s_warnings=%d %s_sha256=%x", client, errs, client, warns, client, h.Sum(nil))
+	}
+	sb.WriteString(name)
+	ce, cw := report.DiagCounts(cd)
+	digest("check", func(w io.Writer) { report.WriteDiags(w, cd) }, ce, cw)
+	re, rw := report.RaceDiagCounts(rd)
+	digest("race", func(w io.Writer) { report.WriteRaceDiags(w, rd) }, re, rw)
+	te, tw := report.TaintDiagCounts(td)
+	digest("taint", func(w io.Writer) { report.WriteTaintDiags(w, td) }, te, tw)
+	sb.WriteString("\n")
 }
