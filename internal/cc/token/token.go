@@ -2,7 +2,11 @@
 // frontend, along with source positions.
 package token
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"strings"
+)
 
 // Kind identifies the lexical class of a token.
 type Kind int
@@ -277,6 +281,12 @@ func (p Pos) String() string {
 
 // IsValid reports whether the position carries line information.
 func (p Pos) IsValid() bool { return p.Line > 0 }
+
+// Compare orders positions by file name, then line, then column, and
+// returns -1, 0 or +1 as p sorts before, with or after o.
+func (p Pos) Compare(o Pos) int {
+	return cmp.Or(strings.Compare(p.File, o.File), cmp.Compare(p.Line, o.Line), cmp.Compare(p.Col, o.Col))
+}
 
 // Token is one lexical token with its position and literal text.
 type Token struct {

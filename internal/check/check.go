@@ -20,10 +20,10 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/cc/token"
 	"repro/internal/pta"
+	"repro/internal/pta/ctxwalk"
 	"repro/internal/pta/invgraph"
 	"repro/internal/pta/live"
 	"repro/internal/pta/loc"
@@ -99,24 +99,14 @@ func Run(res *pta.Result) ([]Diag, error) {
 	if !res.Annots.ContextsEnabled() {
 		return nil, fmt.Errorf("check: analysis ran without Options.RecordContexts")
 	}
-	c := &checker{res: res, ctxs: make(map[*invgraph.Node]*ctxKey)}
+	c := &checker{res: res}
 	c.walk(res.Prog.GlobalInit, "<global init>")
 	for _, fn := range res.Prog.Functions {
 		c.walk(fn.Body, fn.Name())
 	}
 	c.dangling()
-	sort.SliceStable(c.diags, func(i, j int) bool {
-		a, b := c.diags[i], c.diags[j]
-		if a.Pos.File != b.Pos.File {
-			return a.Pos.File < b.Pos.File
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Col != b.Pos.Col {
-			return a.Pos.Col < b.Pos.Col
-		}
-		return a.Kind < b.Kind
+	slices.SortStableFunc(c.diags, func(a, b Diag) int {
+		return cmp.Or(a.Pos.Compare(b.Pos), cmp.Compare(a.Kind, b.Kind))
 	})
 	return c.diags, nil
 }
@@ -124,39 +114,7 @@ func Run(res *pta.Result) ([]Diag, error) {
 type checker struct {
 	res   *pta.Result
 	diags []Diag
-	ctxs  map[*invgraph.Node]*ctxKey
-}
-
-// ctxKey is an invocation-graph node's sort key: its call path and the
-// positions of the call sites on it, from the root down.
-type ctxKey struct {
-	path  string
-	sites []token.Pos
-}
-
-// key returns n's sort key, computed once per Run.
-func (c *checker) key(n *invgraph.Node) *ctxKey {
-	k := c.ctxs[n]
-	if k == nil {
-		k = &ctxKey{path: n.Path()}
-		for cur := n; cur.Parent != nil; cur = cur.Parent {
-			k.sites = append(k.sites, cur.Site.Pos)
-		}
-		slices.Reverse(k.sites)
-		c.ctxs[n] = k
-	}
-	return k
-}
-
-// compareContexts orders contexts by call path and then by call sites, so
-// two calls of one function from one caller keep their textual order.
-func compareContexts(x, y *ctxKey) int {
-	if c := strings.Compare(x.path, y.path); c != 0 {
-		return c
-	}
-	return slices.CompareFunc(x.sites, y.sites, func(p, q token.Pos) int {
-		return cmp.Or(strings.Compare(p.File, q.File), cmp.Compare(p.Line, q.Line), cmp.Compare(p.Col, q.Col))
-	})
+	ctxs  ctxwalk.Order
 }
 
 func (c *checker) walk(body *simple.Seq, fnName string) {
@@ -215,14 +173,14 @@ func derefRefs(b *simple.Basic) []*simple.Ref {
 }
 
 // sortedContexts returns the invocation-graph nodes that analyzed b, in
-// compareContexts order, and their inputs.
+// context order, and their inputs.
 func (c *checker) sortedContexts(b *simple.Basic) ([]*invgraph.Node, map[*invgraph.Node]ptset.Set) {
 	ins := c.res.Annots.ContextsAt(b)
 	nodes := make([]*invgraph.Node, 0, len(ins))
 	for n := range ins {
 		nodes = append(nodes, n)
 	}
-	slices.SortFunc(nodes, func(x, y *invgraph.Node) int { return compareContexts(c.key(x), c.key(y)) })
+	slices.SortFunc(nodes, c.ctxs.Compare)
 	return nodes, ins
 }
 
@@ -311,7 +269,7 @@ func (c *checker) report(b *simple.Basic, pos token.Pos, fnName string,
 			if worst == nil || (!worst.bad && vs[i].bad) ||
 				(!worst.definite && vs[i].definite) {
 				worst = &vs[i]
-				worstCtx = c.key(nodes[i]).path
+				worstCtx = c.ctxs.Path(nodes[i])
 			}
 		}
 	}
@@ -321,7 +279,7 @@ func (c *checker) report(b *simple.Basic, pos token.Pos, fnName string,
 	sev := Warning
 	if definite == checked && worst.definite {
 		sev = Error
-		worstCtx = c.key(nodes[0]).path
+		worstCtx = c.ctxs.Path(nodes[0])
 	}
 	kind, text := msg(*worst, sev)
 	if !pos.IsValid() {

@@ -29,12 +29,16 @@
 package race
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 
 	"repro/internal/cc/token"
 	"repro/internal/modref"
 	"repro/internal/pta"
+	"repro/internal/pta/ctxwalk"
 	"repro/internal/pta/invgraph"
 	"repro/internal/pta/live"
 	"repro/internal/pta/loc"
@@ -87,6 +91,7 @@ func Run(res *pta.Result, mr *modref.Result) ([]Diag, error) {
 		shared: make(map[*loc.Location]bool),
 		accBy:  make(map[*invgraph.Node]map[*simple.Basic][]modref.Access),
 	}
+	d.walk.Basic = d.walkBasic
 	d.collectThreads()
 	if len(d.threads) > 1 { // racing needs at least one spawned thread
 		d.computeShared()
@@ -95,27 +100,10 @@ func Run(res *pta.Result, mr *modref.Result) ([]Diag, error) {
 		}
 		d.pair()
 	}
-	sort.SliceStable(d.diags, func(i, j int) bool {
-		a, b := d.diags[i], d.diags[j]
-		if a.Pos != b.Pos {
-			return posLess(a.Pos, b.Pos)
-		}
-		if a.Loc != b.Loc {
-			return a.Loc < b.Loc
-		}
-		return a.Msg < b.Msg
+	slices.SortStableFunc(d.diags, func(a, b Diag) int {
+		return cmp.Or(a.Pos.Compare(b.Pos), strings.Compare(a.Loc, b.Loc), strings.Compare(a.Msg, b.Msg))
 	})
 	return d.diags, nil
-}
-
-func posLess(a, b token.Pos) bool {
-	if a.File != b.File {
-		return a.File < b.File
-	}
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	return a.Col < b.Col
 }
 
 // access is one shared-location touch, translated to the main naming, with
@@ -156,6 +144,8 @@ type detector struct {
 	shared  map[*loc.Location]bool
 	accBy   map[*invgraph.Node]map[*simple.Basic][]modref.Access
 	diags   []Diag
+	walk    ctxwalk.Walker[lstate]
+	cur     *thread // the thread being walked
 }
 
 func (d *detector) collectThreads() {
@@ -371,240 +361,34 @@ func (d *detector) isShared(l *loc.Location) bool {
 
 // lstate is the abstract state carried by the lockset walk: the held locks
 // (main naming; D definitely held, P possibly held) and, under the main
-// root, the saturating count of live spawned threads.
+// root, the saturating count of live spawned threads. The zero lstate, with
+// no lock map, is the dead state.
 type lstate struct {
-	locks map[*loc.Location]ptset.Def
+	locks ctxwalk.Defs
 	live  int
-	dead  bool // unreachable (after break/continue/return)
 }
 
-func deadState() lstate { return lstate{dead: true} }
+func (s lstate) Dead() bool { return s.locks == nil }
 
-func (s lstate) clone() lstate {
-	if s.dead {
-		return s
-	}
-	locks := make(map[*loc.Location]ptset.Def, len(s.locks))
-	for l, def := range s.locks {
-		locks[l] = def
-	}
-	return lstate{locks: locks, live: s.live}
-}
-
-// mergeState joins two control-flow paths: a lock stays definite only when
+// Join joins two control-flow paths: a lock stays definite only when
 // definitely held on both, the live-thread count takes the maximum
 // (conservative: more concurrency, more reported races).
-func mergeState(a, b lstate) lstate {
-	if a.dead {
-		return b.clone()
-	}
-	if b.dead {
-		return a.clone()
-	}
-	out := lstate{locks: make(map[*loc.Location]ptset.Def), live: max(a.live, b.live)}
-	for l, da := range a.locks {
-		if db, ok := b.locks[l]; ok && da == ptset.D && db == ptset.D {
-			out.locks[l] = ptset.D
-		} else {
-			out.locks[l] = ptset.P
-		}
-	}
-	for l := range b.locks {
-		if _, ok := a.locks[l]; !ok {
-			out.locks[l] = ptset.P
-		}
-	}
-	return out
+func (s lstate) Join(o lstate) lstate {
+	return lstate{locks: ctxwalk.JoinDefs(s.locks, o.locks), live: max(s.live, o.live)}
 }
 
-func equalState(a, b lstate) bool {
-	if a.dead != b.dead || a.live != b.live || len(a.locks) != len(b.locks) {
-		return false
-	}
-	for l, da := range a.locks {
-		if db, ok := b.locks[l]; !ok || da != db {
-			return false
-		}
-	}
-	return true
-}
-
-func mergeStates(states []lstate) lstate {
-	out := deadState()
-	for _, s := range states {
-		out = mergeState(out, s)
-	}
-	return out
-}
-
-// lflow mirrors the analysis's flow structure: the fall-through state plus
-// the states escaping through break, continue and return.
-type lflow struct {
-	out   lstate
-	brks  []lstate
-	conts []lstate
-	rets  []lstate
-}
-
-func (f *lflow) absorbEscapes(g lflow) {
-	f.brks = append(f.brks, g.brks...)
-	f.conts = append(f.conts, g.conts...)
-	f.rets = append(f.rets, g.rets...)
-}
+func (s lstate) Equal(o lstate) bool { return s.live == o.live && maps.Equal(s.locks, o.locks) }
 
 // walkThread runs the lockset walk over one thread root's subtree.
 func (d *detector) walkThread(t *thread) {
-	d.walkNode(t, t.node, lstate{locks: make(map[*loc.Location]ptset.Def)})
-}
-
-// walkNode walks one invocation's body, descending into (non-thread)
-// callees, and returns the exit state. Approximate nodes have no walked
-// body of their own: their lock effects are ignored (a recursion that
-// changes the lockset is beyond this model).
-func (d *detector) walkNode(t *thread, n *invgraph.Node, st lstate) lstate {
-	if n.Kind == invgraph.Approximate {
-		return st
-	}
-	f := d.walkStmt(t, n, n.Fn.Body, st)
-	return mergeStates(append(f.rets, f.out))
-}
-
-func (d *detector) walkStmt(t *thread, n *invgraph.Node, s simple.Stmt, st lstate) lflow {
-	if st.dead {
-		return lflow{out: st}
-	}
-	switch s := s.(type) {
-	case *simple.Basic:
-		return lflow{out: d.walkBasic(t, n, s, st)}
-
-	case *simple.Seq:
-		f := lflow{out: st}
-		if s == nil {
-			return f
-		}
-		for _, c := range s.List {
-			g := d.walkStmt(t, n, c, f.out)
-			f.out = g.out
-			f.absorbEscapes(g)
-			if f.out.dead {
-				break
-			}
-		}
-		return f
-
-	case *simple.If:
-		thenF := d.walkStmt(t, n, s.Then, st)
-		elseF := lflow{out: st}
-		if s.Else != nil {
-			elseF = d.walkStmt(t, n, s.Else, st)
-		}
-		out := lflow{out: mergeState(thenF.out, elseF.out)}
-		out.absorbEscapes(thenF)
-		out.absorbEscapes(elseF)
-		return out
-
-	case *simple.While:
-		return d.walkLoop(t, n, nil, s.CondEval, s.Body, nil, false, st)
-
-	case *simple.DoWhile:
-		return d.walkLoop(t, n, nil, s.CondEval, s.Body, nil, true, st)
-
-	case *simple.For:
-		return d.walkLoop(t, n, s.Init, s.CondEval, s.Body, s.Post, false, st)
-
-	case *simple.Switch:
-		return d.walkSwitch(t, n, s, st)
-
-	case *simple.Break:
-		return lflow{out: deadState(), brks: []lstate{st}}
-
-	case *simple.Continue:
-		return lflow{out: deadState(), conts: []lstate{st}}
-
-	case *simple.Return:
-		return lflow{out: deadState(), rets: []lstate{st}}
-	}
-	return lflow{out: st}
-}
-
-// walkLoop runs the loop body to a lockset fixed point. doFirst is the
-// do-while shape (body before first condition test). The loop's escaping
-// returns accumulate; breaks and post-test states merge into the exit.
-func (d *detector) walkLoop(t *thread, n *invgraph.Node, init, condEval, body, post *simple.Seq, doFirst bool, in lstate) lflow {
-	result := lflow{}
-	if init != nil {
-		f := d.walkStmt(t, n, init, in)
-		in = f.out
-		result.rets = append(result.rets, f.rets...)
-		if in.dead {
-			result.out = in
-			return result
-		}
-	}
-	evalCond := func(s lstate) lstate {
-		if condEval == nil || s.dead {
-			return s
-		}
-		f := d.walkStmt(t, n, condEval, s)
-		result.rets = append(result.rets, f.rets...)
-		return f.out
-	}
-	var exits []lstate
-	cur := in
-	if !doFirst {
-		cur = evalCond(in)
-		exits = append(exits, cur) // zero-iteration exit
-	}
-	const maxIter = 64
-	for iter := 0; ; iter++ {
-		f := d.walkStmt(t, n, body, cur)
-		result.rets = append(result.rets, f.rets...)
-		exits = append(exits, f.brks...)
-		backIn := mergeStates(append(f.conts, f.out))
-		if post != nil && !backIn.dead {
-			pf := d.walkStmt(t, n, post, backIn)
-			result.rets = append(result.rets, pf.rets...)
-			backIn = pf.out
-		}
-		backIn = evalCond(backIn)
-		exits = append(exits, backIn) // exit after this iteration's test
-		next := mergeState(cur, backIn)
-		if equalState(next, cur) || iter >= maxIter {
-			break
-		}
-		cur = next
-	}
-	result.out = mergeStates(exits)
-	return result
-}
-
-func (d *detector) walkSwitch(t *thread, n *invgraph.Node, s *simple.Switch, in lstate) lflow {
-	result := lflow{}
-	var exits []lstate
-	hasDefault := false
-	fall := deadState()
-	for _, c := range s.Cases {
-		if c.IsDefault {
-			hasDefault = true
-		}
-		f := d.walkStmt(t, n, c.Body, mergeState(in, fall))
-		result.rets = append(result.rets, f.rets...)
-		result.conts = append(result.conts, f.conts...)
-		exits = append(exits, f.brks...)
-		fall = f.out
-	}
-	exits = append(exits, fall)
-	if !hasDefault {
-		exits = append(exits, in) // no arm taken
-	}
-	result.out = mergeStates(exits)
-	return result
+	d.cur = t
+	d.walk.Node(t.node, lstate{locks: ctxwalk.Defs{}})
 }
 
 // walkBasic records b's shared accesses under the current lockset, applies
 // the pthread intrinsics to the state, and descends into resolved callees.
-func (d *detector) walkBasic(t *thread, n *invgraph.Node, b *simple.Basic, st lstate) lstate {
-	d.recordAccesses(t, n, b, st)
+func (d *detector) walkBasic(n *invgraph.Node, b *simple.Basic, st lstate) lstate {
+	d.recordAccesses(d.cur, n, b, st)
 
 	if b.Kind == simple.AsgnCall && b.Callee != nil {
 		switch b.Callee.Name {
@@ -615,13 +399,11 @@ func (d *detector) walkBasic(t *thread, n *invgraph.Node, b *simple.Basic, st ls
 			d.applyLock(n, b, &st, false)
 			return st
 		case pta.PthreadCreate:
-			st = st.clone()
 			if st.live < 2 {
 				st.live++ // saturating: 2 means "several"
 			}
 			return st // thread children are separate roots, not callees
 		case pta.PthreadJoin:
-			st = st.clone()
 			if st.live > 0 {
 				st.live--
 			}
@@ -631,19 +413,9 @@ func (d *detector) walkBasic(t *thread, n *invgraph.Node, b *simple.Basic, st ls
 	if b.Kind != simple.AsgnCall && b.Kind != simple.AsgnCallInd {
 		return st
 	}
-	// Descend into every resolved (non-thread) callee of this site and
-	// merge their exit states; an external call leaves the state unchanged.
-	var outs []lstate
-	for _, c := range n.Children {
-		if c.Site != b || c.IsThread {
-			continue
-		}
-		outs = append(outs, d.walkNode(t, c, st.clone()))
-	}
-	if len(outs) == 0 {
-		return st
-	}
-	return mergeStates(outs)
+	// Descend into the resolved callees; an external call leaves the state
+	// unchanged.
+	return ctxwalk.Callees(n, b, st, d.walk.Node)
 }
 
 // lockTargets resolves the mutex locations a lock/unlock argument can
@@ -699,11 +471,7 @@ func (d *detector) lockTargets(n *invgraph.Node, b *simple.Basic) (targets []*lo
 // acquires possibly / downgrades the release targets to possibly held.
 func (d *detector) applyLock(n *invgraph.Node, b *simple.Basic, st *lstate, acquire bool) {
 	targets, definite := d.lockTargets(n, b)
-	locks := make(map[*loc.Location]ptset.Def, len(st.locks)+1)
-	for l, def := range st.locks {
-		locks[l] = def
-	}
-	st.locks = locks
+	st.locks = maps.Clone(st.locks)
 	for _, m := range targets {
 		switch {
 		case acquire && definite:
@@ -750,18 +518,10 @@ func (d *detector) recordAccesses(t *thread, n *invgraph.Node, b *simple.Basic, 
 			t.accKey[key] = len(t.accesses)
 			t.accesses = append(t.accesses, access{
 				loc: rl, def: def, write: acc.Write, pos: acc.Pos,
-				locks: snapshotLocks(st.locks), conc: conc,
+				locks: maps.Clone(st.locks), conc: conc,
 			})
 		}
 	}
-}
-
-func snapshotLocks(locks map[*loc.Location]ptset.Def) map[*loc.Location]ptset.Def {
-	out := make(map[*loc.Location]ptset.Def, len(locks))
-	for l, def := range locks {
-		out[l] = def
-	}
-	return out
 }
 
 // intersectLocks keeps the weakest view of two lockset snapshots of the
@@ -866,7 +626,7 @@ func (d *detector) judge(ta, tb *thread, a, b *access, best map[pairKey]int) {
 	}
 
 	first, second, tf, ts := a, b, ta, tb
-	if posLess(second.pos, first.pos) {
+	if second.pos.Compare(first.pos) < 0 {
 		first, second, tf, ts = b, a, tb, ta
 	}
 	note := "no common lock held"

@@ -1,6 +1,7 @@
 package race_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -317,5 +318,68 @@ func TestRunGuards(t *testing.T) {
 	}
 	if _, err := race.Run(shared, modref.Compute(shared)); err == nil {
 		t.Error("Run accepted a result analyzed with ShareContexts")
+	}
+}
+
+// TestControlFlowLocksets pins verdicts that the walk's loop and switch
+// rules decide: main holds m around its write of g only on some paths, and
+// the worker always holds m.
+func TestControlFlowLocksets(t *testing.T) {
+	const prologue = `int g;
+pthread_mutex_t m;
+long t;
+void *worker(void *arg) {
+    pthread_mutex_lock(&m);
+    g = 1;
+    pthread_mutex_unlock(&m);
+    return 0;
+}
+int main(int argc, char **argv) {
+    pthread_create(&t, 0, worker, 0);
+`
+	const possibly = "cf.c:6:5: warning: data-race: write of g in thread worker (spawned at cf.c:11:19) " +
+		"races with write of g at %s in main (only possibly protected by a common lock)"
+	for _, tc := range []struct {
+		name, body, want string
+	}{
+		// The unlocking path continues: the back edge carries it to the
+		// next pass's write.
+		{"continue", `    int i;
+    pthread_mutex_lock(&m);
+    for (i = 0; i < argc; i++) {
+        if (i == 1) {
+            pthread_mutex_unlock(&m);
+            continue;
+        }
+        g = 2;
+    }
+    return 0;
+}`, fmt.Sprintf(possibly, "cf.c:19:9")},
+		// The unlocking arm falls through into the writing one.
+		{"switch fall-through", `    pthread_mutex_lock(&m);
+    switch (argc) {
+    case 1:
+        pthread_mutex_unlock(&m);
+    case 2:
+        g = 2;
+        break;
+    }
+    return 0;
+}`, fmt.Sprintf(possibly, "cf.c:17:9")},
+		// A do-while body runs before its first test: m is held.
+		{"do-while", `    do {
+        pthread_mutex_lock(&m);
+    } while (argc < 0);
+    g = 2;
+    pthread_mutex_unlock(&m);
+    return 0;
+}`, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := strings.Join(testutil.Render(analyzeSrc(t, "cf.c", prologue+tc.body)), "\n")
+			if got != tc.want {
+				t.Errorf("got:\n%s\nwant:\n%s", got, tc.want)
+			}
+		})
 	}
 }

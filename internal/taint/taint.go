@@ -27,11 +27,15 @@
 package taint
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 
 	"repro/internal/cc/token"
 	"repro/internal/pta"
+	"repro/internal/pta/ctxwalk"
 	"repro/internal/pta/invgraph"
 	"repro/internal/pta/live"
 	"repro/internal/pta/loc"
@@ -205,6 +209,7 @@ func RunWithMetrics(res *pta.Result, cfg *Config) ([]Diag, Metrics, error) {
 		sourceStmt: make(map[*simple.Basic]bool),
 		sanStmt:    make(map[*simple.Basic]bool),
 	}
+	w.walk.Basic = w.walkBasic
 	roots := []*invgraph.Node{res.Graph.Root}
 	roots = append(roots, res.Graph.ThreadNodes()...)
 	for _, r := range roots {
@@ -212,7 +217,7 @@ func RunWithMetrics(res *pta.Result, cfg *Config) ([]Diag, Metrics, error) {
 		if r == res.Graph.Root {
 			w.seedArgv(st)
 		}
-		w.walkNode(r, st)
+		w.walk.Node(r, st)
 	}
 	diags := w.report()
 	m.Sources = len(w.sourceStmt)
@@ -269,92 +274,27 @@ func joinTV(a, b taintVal) taintVal {
 
 // tstate is the abstract state of the walk: for each abstract location (in
 // the naming of the invocation being walked), whether its cell is definitely
-// or possibly tainted. Absent means untainted.
+// or possibly tainted. Absent means untainted. The zero tstate, with no map,
+// is the dead state.
 type tstate struct {
-	t    map[*loc.Location]ptset.Def
-	dead bool // unreachable (after break/continue/return)
+	t ctxwalk.Defs
 }
 
-func newState() tstate { return tstate{t: make(map[*loc.Location]ptset.Def)} }
+func newState() tstate { return tstate{t: ctxwalk.Defs{}} }
 
-func deadState() tstate { return tstate{dead: true} }
+func (s tstate) Dead() bool { return s.t == nil }
 
-func (s tstate) clone() tstate {
-	if s.dead {
-		return s
-	}
-	t := make(map[*loc.Location]ptset.Def, len(s.t))
-	for l, d := range s.t {
-		t[l] = d
-	}
-	return tstate{t: t}
-}
+// Join joins two control-flow paths: a cell stays definitely tainted only
+// when definitely tainted on both; tainted on one side only is possible.
+func (s tstate) Join(o tstate) tstate { return tstate{t: ctxwalk.JoinDefs(s.t, o.t)} }
+
+func (s tstate) Equal(o tstate) bool { return maps.Equal(s.t, o.t) }
 
 // joinInto raises the taint of l in m to at least d.
 func joinInto(m map[*loc.Location]ptset.Def, l *loc.Location, d ptset.Def) {
 	if cur, ok := m[l]; !ok || (cur == ptset.P && d == ptset.D) {
 		m[l] = d
 	}
-}
-
-// mergeState joins two control-flow paths: a cell stays definitely tainted
-// only when definitely tainted on both; tainted on one side only is possible.
-func mergeState(a, b tstate) tstate {
-	if a.dead {
-		return b.clone()
-	}
-	if b.dead {
-		return a.clone()
-	}
-	out := newState()
-	for l, da := range a.t {
-		if db, ok := b.t[l]; ok && da == ptset.D && db == ptset.D {
-			out.t[l] = ptset.D
-		} else {
-			out.t[l] = ptset.P
-		}
-	}
-	for l := range b.t {
-		if _, ok := a.t[l]; !ok {
-			out.t[l] = ptset.P
-		}
-	}
-	return out
-}
-
-func mergeStates(states []tstate) tstate {
-	out := deadState()
-	for _, s := range states {
-		out = mergeState(out, s)
-	}
-	return out
-}
-
-func equalState(a, b tstate) bool {
-	if a.dead != b.dead || len(a.t) != len(b.t) {
-		return false
-	}
-	for l, da := range a.t {
-		if db, ok := b.t[l]; !ok || da != db {
-			return false
-		}
-	}
-	return true
-}
-
-// tflow mirrors the analysis's flow structure: the fall-through state plus
-// the states escaping through break, continue and return.
-type tflow struct {
-	out   tstate
-	brks  []tstate
-	conts []tstate
-	rets  []tstate
-}
-
-func (f *tflow) absorbEscapes(g tflow) {
-	f.brks = append(f.brks, g.brks...)
-	f.conts = append(f.conts, g.conts...)
-	f.rets = append(f.rets, g.rets...)
 }
 
 // ---------------------------------------------------------------------------
@@ -389,8 +329,10 @@ type ctxVerdict struct {
 }
 
 type walker struct {
-	res *pta.Result
-	cfg *Config
+	res  *pta.Result
+	cfg  *Config
+	walk ctxwalk.Walker[tstate]
+	ctxs ctxwalk.Order
 
 	verdicts map[vkey]*site
 	vorder   []vkey
@@ -433,7 +375,7 @@ func (w *walker) report() []Diag {
 	for _, k := range w.vorder {
 		s := w.verdicts[k]
 		nodes := s.order
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].Path() < nodes[j].Path() })
+		slices.SortFunc(nodes, w.ctxs.Compare)
 		checked, definite := 0, 0
 		anyBad := false
 		badCtx := ""
@@ -443,7 +385,7 @@ func (w *walker) report() []Diag {
 			if v.bad {
 				anyBad = true
 				if badCtx == "" {
-					badCtx = n.Path()
+					badCtx = w.ctxs.Path(n)
 				}
 				if v.definite {
 					definite++
@@ -456,7 +398,7 @@ func (w *walker) report() []Diag {
 		sev := Warning
 		if definite == checked {
 			sev = Error
-			badCtx = nodes[0].Path()
+			badCtx = w.ctxs.Path(nodes[0])
 		}
 		diags = append(diags, Diag{
 			Pos: s.pos, Sev: sev, Kind: k.kind,
@@ -464,21 +406,8 @@ func (w *walker) report() []Diag {
 			Ctx: badCtx, Fn: s.fn, Stmt: k.b,
 		})
 	}
-	sort.SliceStable(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.File != b.Pos.File {
-			return a.Pos.File < b.Pos.File
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Col != b.Pos.Col {
-			return a.Pos.Col < b.Pos.Col
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Msg < b.Msg
+	slices.SortStableFunc(diags, func(a, b Diag) int {
+		return cmp.Or(a.Pos.Compare(b.Pos), cmp.Compare(a.Kind, b.Kind), strings.Compare(a.Msg, b.Msg))
 	})
 	return diags
 }
@@ -541,148 +470,6 @@ func (w *walker) seedArgv(st tstate) {
 // ---------------------------------------------------------------------------
 // The walk
 
-// walkNode walks one invocation's body and returns the exit state (the merge
-// of the fall-through and every return path). Approximate nodes have no
-// walked body: the recursion approximation leaves taint unchanged.
-func (w *walker) walkNode(n *invgraph.Node, st tstate) tstate {
-	if n.Kind == invgraph.Approximate {
-		return st
-	}
-	f := w.walkStmt(n, n.Fn.Body, st)
-	return mergeStates(append(f.rets, f.out))
-}
-
-func (w *walker) walkStmt(n *invgraph.Node, s simple.Stmt, st tstate) tflow {
-	if st.dead {
-		return tflow{out: st}
-	}
-	switch s := s.(type) {
-	case *simple.Basic:
-		return tflow{out: w.walkBasic(n, s, st)}
-
-	case *simple.Seq:
-		f := tflow{out: st}
-		if s == nil {
-			return f
-		}
-		for _, c := range s.List {
-			g := w.walkStmt(n, c, f.out)
-			f.out = g.out
-			f.absorbEscapes(g)
-			if f.out.dead {
-				break
-			}
-		}
-		return f
-
-	case *simple.If:
-		thenF := w.walkStmt(n, s.Then, st)
-		elseF := tflow{out: st}
-		if s.Else != nil {
-			elseF = w.walkStmt(n, s.Else, st)
-		}
-		out := tflow{out: mergeState(thenF.out, elseF.out)}
-		out.absorbEscapes(thenF)
-		out.absorbEscapes(elseF)
-		return out
-
-	case *simple.While:
-		return w.walkLoop(n, nil, s.CondEval, s.Body, nil, false, st)
-
-	case *simple.DoWhile:
-		return w.walkLoop(n, nil, s.CondEval, s.Body, nil, true, st)
-
-	case *simple.For:
-		return w.walkLoop(n, s.Init, s.CondEval, s.Body, s.Post, false, st)
-
-	case *simple.Switch:
-		return w.walkSwitch(n, s, st)
-
-	case *simple.Break:
-		return tflow{out: deadState(), brks: []tstate{st}}
-
-	case *simple.Continue:
-		return tflow{out: deadState(), conts: []tstate{st}}
-
-	case *simple.Return:
-		return tflow{out: deadState(), rets: []tstate{st}}
-	}
-	return tflow{out: st}
-}
-
-// walkLoop runs the loop body to a taint fixed point; doFirst is the
-// do-while shape.
-func (w *walker) walkLoop(n *invgraph.Node, init, condEval, body, post *simple.Seq, doFirst bool, in tstate) tflow {
-	result := tflow{}
-	if init != nil {
-		f := w.walkStmt(n, init, in)
-		in = f.out
-		result.rets = append(result.rets, f.rets...)
-		if in.dead {
-			result.out = in
-			return result
-		}
-	}
-	evalCond := func(s tstate) tstate {
-		if condEval == nil || s.dead {
-			return s
-		}
-		f := w.walkStmt(n, condEval, s)
-		result.rets = append(result.rets, f.rets...)
-		return f.out
-	}
-	var exits []tstate
-	cur := in
-	if !doFirst {
-		cur = evalCond(in)
-		exits = append(exits, cur) // zero-iteration exit
-	}
-	const maxIter = 64
-	for iter := 0; ; iter++ {
-		f := w.walkStmt(n, body, cur)
-		result.rets = append(result.rets, f.rets...)
-		exits = append(exits, f.brks...)
-		backIn := mergeStates(append(f.conts, f.out))
-		if post != nil && !backIn.dead {
-			pf := w.walkStmt(n, post, backIn)
-			result.rets = append(result.rets, pf.rets...)
-			backIn = pf.out
-		}
-		backIn = evalCond(backIn)
-		exits = append(exits, backIn) // exit after this iteration's test
-		next := mergeState(cur, backIn)
-		if equalState(next, cur) || iter >= maxIter {
-			break
-		}
-		cur = next
-	}
-	result.out = mergeStates(exits)
-	return result
-}
-
-func (w *walker) walkSwitch(n *invgraph.Node, s *simple.Switch, in tstate) tflow {
-	result := tflow{}
-	var exits []tstate
-	hasDefault := false
-	fall := deadState()
-	for _, c := range s.Cases {
-		if c.IsDefault {
-			hasDefault = true
-		}
-		f := w.walkStmt(n, c.Body, mergeState(in, fall))
-		result.rets = append(result.rets, f.rets...)
-		result.conts = append(result.conts, f.conts...)
-		exits = append(exits, f.brks...)
-		fall = f.out
-	}
-	exits = append(exits, fall)
-	if !hasDefault {
-		exits = append(exits, in) // no arm taken
-	}
-	result.out = mergeStates(exits)
-	return result
-}
-
 // walkBasic judges b's sinks under the pre-state, applies its taint transfer
 // function, and descends into resolved callees.
 func (w *walker) walkBasic(n *invgraph.Node, b *simple.Basic, st tstate) tstate {
@@ -712,7 +499,7 @@ func (w *walker) walkBasic(n *invgraph.Node, b *simple.Basic, st tstate) tstate 
 	case simple.AsgnAddr, simple.AsgnMalloc:
 		tv = untainted // fresh addresses and fresh storage are clean
 	}
-	out := st.clone()
+	out := tstate{t: maps.Clone(st.t)}
 	w.assignRef(out, b.LHS, in, tv)
 	return out
 }
@@ -759,27 +546,19 @@ func (w *walker) walkCall(n *invgraph.Node, b *simple.Basic, in ptset.Set, st ts
 		if tv.tainted {
 			tv.def = ptset.P
 		}
-		out := st.clone()
+		out := tstate{t: maps.Clone(st.t)}
 		w.assignRef(out, b.LHS, in, tv)
 		return out
 	}
 	return st
 }
 
-// walkCallees descends into every resolved (non-thread) callee of this site
-// and merges their exit states; an unresolved site leaves taint unchanged.
+// walkCallees crosses into every resolved callee of this site and joins
+// their exit states; an unresolved site leaves taint unchanged.
 func (w *walker) walkCallees(n *invgraph.Node, b *simple.Basic, in ptset.Set, st tstate) tstate {
-	var outs []tstate
-	for _, c := range n.Children {
-		if c.Site != b || c.IsThread {
-			continue
-		}
-		outs = append(outs, w.crossCall(n, c, b, in, st))
-	}
-	if len(outs) == 0 {
-		return st
-	}
-	return mergeStates(outs)
+	return ctxwalk.Callees(n, b, st, func(c *invgraph.Node, st tstate) tstate {
+		return w.crossCall(n, c, b, in, st)
+	})
 }
 
 // crossCall maps the taint state into the callee's naming, walks the callee,
@@ -823,9 +602,9 @@ func (w *walker) crossCall(n, c *invgraph.Node, b *simple.Basic, in ptset.Set, s
 		}
 	}
 
-	ex := w.walkNode(c, cst)
-	if ex.dead {
-		return deadState() // the callee never returns
+	ex := w.walk.Node(c, cst)
+	if ex.Dead() {
+		return tstate{} // the callee never returns
 	}
 
 	// Unmap: caller cells the callee could see are replaced by the
@@ -871,7 +650,7 @@ func (w *walker) crossCall(n, c *invgraph.Node, b *simple.Basic, in ptset.Set, s
 // definitely writes attacker data there when it executes) and the result
 // value when the source returns tainted data.
 func (w *walker) applySource(n *invgraph.Node, b *simple.Basic, in ptset.Set, st tstate, src Source) tstate {
-	out := st.clone()
+	out := tstate{t: maps.Clone(st.t)}
 	w.sourceStmt[b] = true
 	apply := func(idx int) {
 		if idx >= len(b.Args) {
@@ -905,7 +684,7 @@ func (w *walker) applySource(n *invgraph.Node, b *simple.Basic, in ptset.Set, st
 // arguments' own cells when they are direct references) under the strong/
 // weak rules, and leaves the result untainted.
 func (w *walker) applySanitizer(n *invgraph.Node, b *simple.Basic, in ptset.Set, st tstate) tstate {
-	out := st.clone()
+	out := tstate{t: maps.Clone(st.t)}
 	w.sanStmt[b] = true
 	for _, a := range b.Args {
 		ref, ok := a.(*simple.Ref)
@@ -925,7 +704,7 @@ func (w *walker) applySanitizer(n *invgraph.Node, b *simple.Basic, in ptset.Set,
 // pointees. strcat appends (never clears); memset overwrites with a
 // constant (clears).
 func (w *walker) applyCopyExternal(n *invgraph.Node, b *simple.Basic, in ptset.Set, st tstate, name string) tstate {
-	out := st.clone()
+	out := tstate{t: maps.Clone(st.t)}
 	if len(b.Args) >= 1 {
 		if dst, ok := b.Args[0].(*simple.Ref); ok {
 			dlocs := w.dataLocs(dst, in)

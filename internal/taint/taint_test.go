@@ -224,3 +224,48 @@ func TestDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// TestControlFlowVerdicts pins verdicts that the walk's loop and switch
+// rules decide: q holds getenv's tainted result only on some paths to the
+// system call.
+func TestControlFlowVerdicts(t *testing.T) {
+	for _, tc := range []struct {
+		name, body, want string
+	}{
+		// The tainting path continues: the back edge carries it to the
+		// next pass's sink.
+		{"continue", `    int i;
+    for (i = 0; i < argc; i++) {
+        if (i == 1) {
+            q = getenv("CMD");
+            continue;
+        }
+        system(q);
+    }`, "cf.c:9:16: warning: tainted-exec: 'q' may pass tainted data to 'system' [context: main]"},
+		// The tainting arm falls through into the sink's.
+		{"switch fall-through", `    switch (argc) {
+    case 1:
+        q = getenv("CMD");
+    case 2:
+        system(q);
+        break;
+    }`, "cf.c:7:16: warning: tainted-exec: 'q' may pass tainted data to 'system' [context: main]"},
+		// A do-while body runs before its first test: q is tainted on
+		// every path.
+		{"do-while", `    do {
+        q = getenv("CMD");
+    } while (argc < 0);
+    system(q);`, "cf.c:6:12: error: tainted-exec: 'q' passes tainted data to 'system' [context: main]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := "int main(int argc, char **argv) {\n    char *q = \"ls\";\n" + tc.body + "\n    return 0;\n}\n"
+			diags, err := testutil.AnalyzeSrc(t, "cf.c", src).Taint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(testutil.Render(diags), "\n"); got != tc.want {
+				t.Errorf("got:\n%s\nwant:\n%s", got, tc.want)
+			}
+		})
+	}
+}
