@@ -71,16 +71,12 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/alias"
 	"repro/internal/bench"
 	"repro/internal/check"
-	"repro/internal/constprop"
 	"repro/internal/deptest"
-	"repro/internal/heapconn"
-	"repro/internal/modref"
 	"repro/internal/obsv"
 	"repro/internal/pta/invgraph"
 	"repro/internal/pta/loc"
@@ -329,11 +325,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		any = true
 	}
 	if *doConst {
-		cp := constprop.RunWithMod(a.Result, modref.Compute(a.Result))
-		fmt.Fprintf(stdout, "constant statements: %d\n", len(cp.Constants))
-		for _, f := range cp.Constants {
-			fmt.Fprintln(stdout, " ", f)
-		}
+		report.WriteConstants(stdout, a.ConstantPropagation())
 		any = true
 	}
 	if *doDep {
@@ -350,20 +342,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		any = true
 	}
 	if *doConn {
-		hc := heapconn.Run(a.Result)
-		names := make([]string, 0, len(hc.Funcs))
-		for n := range hc.Funcs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fr := hc.Funcs[n]
-			if len(fr.HeapPtrs) == 0 {
-				continue
-			}
-			fmt.Fprintf(stdout, "%s: %d heap pointers, %d connected pairs (naive %d), %d provably disjoint\n",
-				n, len(fr.HeapPtrs), fr.Exit.Len(), fr.NaivePairs, fr.DisjointPairs())
-		}
+		report.WriteConnections(stdout, a.HeapConnections())
 		any = true
 	}
 	if *doCheck {

@@ -25,7 +25,8 @@ import (
 // fingerprint must also be the same at 2 and 8 workers. The same serial
 // run pins the clients in clients.golden: the error and warning counts and
 // the SHA-256 of the Check, Races and Taint diagnostics as mccat-pta prints
-// them. Rewrite the goldens with -update; any change to them is a change to
+// them, and the count and SHA-256 of the constants and the SHA-256 of the
+// heap connections that -const and -conn print. Rewrite the goldens with -update; any change to them is a change to
 // the analysis's or a client's output.
 func TestOracleGolden(t *testing.T) {
 	type program struct {
@@ -89,10 +90,14 @@ func writeClients(t *testing.T, sb *strings.Builder, name string, a *pointsto.An
 	if err != nil {
 		t.Fatalf("%s: taint: %v", name, err)
 	}
-	digest := func(client string, write func(io.Writer), errs, warns int) {
+	sum := func(client string, write func(io.Writer)) {
 		h := sha256.New()
 		write(h)
-		fmt.Fprintf(sb, " %s_errors=%d %s_warnings=%d %s_sha256=%x", client, errs, client, warns, client, h.Sum(nil))
+		fmt.Fprintf(sb, " %s_sha256=%x", client, h.Sum(nil))
+	}
+	digest := func(client string, write func(io.Writer), errs, warns int) {
+		fmt.Fprintf(sb, " %s_errors=%d %s_warnings=%d", client, errs, client, warns)
+		sum(client, write)
 	}
 	sb.WriteString(name)
 	ce, cw := report.DiagCounts(cd)
@@ -101,5 +106,10 @@ func writeClients(t *testing.T, sb *strings.Builder, name string, a *pointsto.An
 	digest("race", func(w io.Writer) { report.WriteRaceDiags(w, rd) }, re, rw)
 	te, tw := report.TaintDiagCounts(td)
 	digest("taint", func(w io.Writer) { report.WriteTaintDiags(w, td) }, te, tw)
+	cp := a.ConstantPropagation()
+	fmt.Fprintf(sb, " const_count=%d", len(cp.Constants))
+	sum("const", func(w io.Writer) { report.WriteConstants(w, cp) })
+	hc := a.HeapConnections()
+	sum("conn", func(w io.Writer) { report.WriteConnections(w, hc) })
 	sb.WriteString("\n")
 }
