@@ -19,6 +19,7 @@ import (
 	"repro/internal/deptest"
 	"repro/internal/heapconn"
 	"repro/internal/interp"
+	"repro/internal/modref"
 	"repro/internal/pta"
 	"repro/internal/report"
 	"repro/internal/simple"
@@ -267,21 +268,23 @@ func BenchmarkFrontend(b *testing.B) {
 }
 
 // BenchmarkConstProp measures the constant-propagation client analysis
-// built on the points-to results (§6.1's framework application).
+// built on the points-to results and their MOD sets (§6.1's framework
+// application).
 func BenchmarkConstProp(b *testing.B) {
 	progs := loadSuite(b)
 	results := make([]*pta.Result, len(progs))
+	mods := make([]*modref.Result, len(progs))
 	for i, p := range progs {
 		r, err := pta.Analyze(p, pta.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		results[i] = r
+		results[i], mods[i] = r, modref.Compute(r)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range results {
-			constprop.Run(r)
+		for j, r := range results {
+			constprop.RunWithMod(r, mods[j])
 		}
 	}
 }

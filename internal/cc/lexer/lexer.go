@@ -31,9 +31,24 @@ type Lexer struct {
 	col    int
 	errors []error
 
-	macros map[string][]token.Token // object-like #define bodies
-	pend   []token.Token            // pending macro-expansion tokens
-	expand map[string]bool          // macros currently being expanded (cycle guard)
+	macros   map[string][]token.Token // object-like #define bodies
+	pend     []token.Token            // macro-expansion tokens still to return, next last
+	active   []expansion              // expansions with tokens in pend, outermost first
+	hidden   map[string]bool          // the names of the active expansions
+	expanded int                      // tokens macro expansion has produced
+}
+
+// maxExpanded caps the tokens that macro expansion may produce in one
+// lexer, so that a chain of macros each naming the next twice cannot grow
+// the token stream exponentially.
+const maxExpanded = 1 << 18
+
+// expansion is one macro expansion whose tokens are still pending: those at
+// index base and above in pend, which its body and the expansions of its
+// tokens pushed.
+type expansion struct {
+	name string
+	base int
 }
 
 // New returns a lexer over src; file is used in positions.
@@ -44,7 +59,7 @@ func New(file, src string) *Lexer {
 		line:   1,
 		col:    1,
 		macros: make(map[string][]token.Token),
-		expand: make(map[string]bool),
+		hidden: make(map[string]bool),
 	}
 }
 
@@ -179,33 +194,44 @@ func parseDefine(line string) (name, body string, ok bool) {
 }
 
 // Next returns the next token, applying macro expansion. Macro bodies may
-// reference other macros; expansion is repeated on queued tokens, with a
-// queue-size bound guarding against self-referential definitions.
+// name other macros, but a token that an expansion produced never expands
+// that macro again (C11 6.10.3.4). Once expansion would pass maxExpanded
+// tokens, Next records an error at the macro's use and returns EOF from
+// then on.
 func (l *Lexer) Next() token.Token {
-	const maxExpansions = 4096
-	expansions := 0
 	for {
+		// An expansion ends when pend holds no more tokens it produced.
+		for n := len(l.active); n > 0 && l.active[n-1].base >= len(l.pend); n-- {
+			delete(l.hidden, l.active[n-1].name)
+			l.active = l.active[:n-1]
+		}
 		var t token.Token
-		if len(l.pend) > 0 {
-			t = l.pend[0]
-			l.pend = l.pend[1:]
+		if n := len(l.pend); n > 0 {
+			t = l.pend[n-1]
+			l.pend = l.pend[:n-1]
 		} else {
 			t = l.rawNext()
 		}
-		if t.Kind == token.IDENT && expansions < maxExpansions {
-			expansions++
-			if body, ok := l.macros[t.Text]; ok && !l.expand[t.Text] {
-				// Re-position macro tokens at the use site and queue them.
-				out := make([]token.Token, len(body))
-				for i, bt := range body {
-					bt.Pos = t.Pos
-					out[i] = bt
-				}
-				l.pend = append(out, l.pend...)
-				continue
-			}
+		if t.Kind != token.IDENT {
+			return t
 		}
-		return t
+		body, ok := l.macros[t.Text]
+		if !ok || l.hidden[t.Text] {
+			return t
+		}
+		if l.expanded += len(body); l.expanded > maxExpanded {
+			l.errorf(t.Pos, "macro expansion exceeds %d tokens", maxExpanded)
+			l.pend, l.off = nil, len(l.src)
+			return token.Token{Kind: token.EOF, Pos: t.Pos}
+		}
+		// Queue the body, re-positioned at the use site.
+		l.active = append(l.active, expansion{t.Text, len(l.pend)})
+		l.hidden[t.Text] = true
+		for i := len(body) - 1; i >= 0; i-- {
+			bt := body[i]
+			bt.Pos = t.Pos
+			l.pend = append(l.pend, bt)
+		}
 	}
 }
 

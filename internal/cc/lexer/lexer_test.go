@@ -1,7 +1,10 @@
 package lexer
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cc/token"
 )
@@ -143,6 +146,88 @@ func TestSelfReferentialMacroTerminates(t *testing.T) {
 	toks, _ := Tokenize("t.c", "#define X X\nX")
 	if len(toks) == 0 {
 		t.Fatal("lexer returned no tokens")
+	}
+}
+
+// tokenizeWithin tokenizes src and fails the test if that takes longer
+// than d.
+func tokenizeWithin(t *testing.T, d time.Duration, src string) ([]token.Token, []error) {
+	t.Helper()
+	type result struct {
+		toks []token.Token
+		errs []error
+	}
+	done := make(chan result, 1)
+	go func() {
+		toks, errs := Tokenize("t.c", src)
+		done <- result{toks, errs}
+	}()
+	select {
+	case r := <-done:
+		return r.toks, r.errs
+	case <-time.After(d):
+		t.Fatalf("Tokenize did not return within %v", d)
+		return nil, nil
+	}
+}
+
+// texts renders tokens by their text, or by kind for those without one.
+func texts(toks []token.Token) string {
+	var parts []string
+	for _, tok := range toks {
+		if tok.Text != "" {
+			parts = append(parts, tok.Text)
+		} else {
+			parts = append(parts, tok.Kind.String())
+		}
+	}
+	return strings.Join(parts, " ")
+}
+
+// A macro whose body names the macro itself after another token: the name
+// inside the body is not replaced again (C11 6.10.3.4), so tokenizing ends.
+func TestSelfNamingMacroBody(t *testing.T) {
+	toks, errs := tokenizeWithin(t, 5*time.Second, "#define A x A\nint main() { return A; }\n")
+	if len(errs) > 0 {
+		t.Fatalf("errors: %v", errs)
+	}
+	got := texts(toks)
+	if want := "int main ( ) { return x A ; } EOF"; got != want {
+		t.Errorf("tokens %q, want %q", got, want)
+	}
+}
+
+// A token never re-expands any macro it came from, however deep, while the
+// same macro named again in the source expands again.
+func TestMacroNotReexpanded(t *testing.T) {
+	toks, errs := Tokenize("t.c", "#define A B\n#define B A+C\n#define C 1\nA A")
+	if len(errs) > 0 {
+		t.Fatalf("errors: %v", errs)
+	}
+	if got, want := texts(toks), "A + 1 A + 1 EOF"; got != want {
+		t.Errorf("tokens %q, want %q", got, want)
+	}
+}
+
+// chainSource defines A0 as A1+A1, A1 as A2+A2, ..., A30 as 1 (612 bytes):
+// A0 expands to 2^31-1 tokens.
+func chainSource() string {
+	var sb strings.Builder
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&sb, "#define A%d A%d+A%d\n", i, i+1, i+1)
+	}
+	sb.WriteString("#define A30 1\nint main() { return A0; }\n")
+	return sb.String()
+}
+
+func TestMacroExpansionBudget(t *testing.T) {
+	src := chainSource()
+	toks, errs := tokenizeWithin(t, 5*time.Second, src)
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "t.c:32:21: macro expansion exceeds") {
+		t.Fatalf("errors %v, want one positioned budget error", errs)
+	}
+	if n := len(toks); n > len(src)+maxExpanded || toks[n-1].Kind != token.EOF {
+		t.Errorf("%d tokens ending in %v, want at most %d ending in EOF", n, toks[n-1].Kind, len(src)+maxExpanded)
 	}
 }
 

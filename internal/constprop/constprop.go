@@ -4,127 +4,70 @@
 // context-sensitive interprocedural analysis framework"): the points-to
 // results let the propagator see through pointer loads and stores — a store
 // through a definitely-known pointer updates exactly one location, a load
-// through a pointer reads the meet of its possible targets — and the
-// invocation graph supplies the call structure.
+// through a pointer reads a constant only when all its possible targets
+// hold it — and the invocation graph supplies the call structure. Each
+// invocation's body is walked with ctxwalk's statement rules.
 //
-// The value domain is the classic three-level lattice per abstract
-// location: unknown (top), a single integer constant, or not-a-constant
-// (bottom).
+// The state holds, per abstract location, the integer constant it
+// definitely holds; a location without one is not a constant.
 package constprop
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/cc/ast"
 	"repro/internal/cc/token"
 	"repro/internal/modref"
 	"repro/internal/pta"
+	"repro/internal/pta/ctxwalk"
 	"repro/internal/pta/invgraph"
 	"repro/internal/pta/loc"
 	"repro/internal/pta/ptset"
 	"repro/internal/simple"
 )
 
-// Value is a lattice element.
-type Value struct {
-	Kind ValueKind
-	C    int64 // Kind == Const
-}
+// env maps abstract locations to the integer constants they hold on every
+// path to a program point; a location it lacks is not a constant. The nil
+// env is the walk's dead state. Transfer functions copy an env before they
+// change it.
+type env map[*loc.Location]int64
 
-// ValueKind discriminates Value.
-type ValueKind int
+func (e env) Dead() bool { return e == nil }
 
-// Lattice levels.
-const (
-	Top    ValueKind = iota // no information yet / unreachable
-	Const                   // exactly this constant
-	Bottom                  // not a constant
-)
-
-func (v Value) String() string {
-	switch v.Kind {
-	case Top:
-		return "⊤"
-	case Const:
-		return fmt.Sprintf("%d", v.C)
-	}
-	return "⊥"
-}
-
-func top() Value          { return Value{Kind: Top} }
-func bottom() Value       { return Value{Kind: Bottom} }
-func konst(c int64) Value { return Value{Kind: Const, C: c} }
-
-// meet combines two lattice values.
-func meet(a, b Value) Value {
+// Join keeps the constants both paths agree on.
+func (e env) Join(o env) env {
 	switch {
-	case a.Kind == Top:
-		return b
-	case b.Kind == Top:
-		return a
-	case a.Kind == Const && b.Kind == Const && a.C == b.C:
-		return a
+	case e == nil:
+		return o
+	case o == nil:
+		return e
 	}
-	return bottom()
-}
-
-// env maps abstract locations to lattice values. Missing entries are Top.
-type env map[*loc.Location]Value
-
-func (e env) get(l *loc.Location) Value {
-	if v, ok := e[l]; ok {
-		return v
-	}
-	return top()
-}
-
-func (e env) set(l *loc.Location, v Value) {
-	if v.Kind == Top {
-		delete(e, l)
-		return
-	}
-	e[l] = v
-}
-
-func (e env) clone() env {
-	n := make(env, len(e))
-	for k, v := range e {
-		n[k] = v
-	}
-	return n
-}
-
-// meetEnv joins two environments in place into a fresh env: a location
-// missing on one side is Top there, so the meet keeps the other side's
-// value only if equal — conservatively we must treat "missing" as unknown
-// along that path, which for soundness of *constants* means bottom unless
-// both sides agree. We instead keep the meet with Top = identity, which is
-// the standard optimistic treatment for a forward analysis with reachable
-// paths only.
-func meetEnv(a, b env) env {
-	out := make(env)
-	for k, va := range a {
-		out.set(k, meet(va, b.get(k)))
-	}
-	for k, vb := range b {
-		if _, ok := a[k]; !ok {
-			out.set(k, vb)
+	out := make(env, min(len(e), len(o)))
+	for l, c := range e {
+		if d, ok := o[l]; ok && d == c {
+			out[l] = c
 		}
 	}
 	return out
 }
 
-func equalEnv(a, b env) bool {
-	if len(a) != len(b) {
-		return false
+func (e env) Equal(o env) bool { return maps.Equal(e, o) }
+
+// with returns e with l holding c (ok) or no constant (!ok), copying e only
+// when that changes it.
+func (e env) with(l *loc.Location, c int64, ok bool) env {
+	if old, had := e[l]; had == ok && (!ok || old == c) {
+		return e
 	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
+	out := maps.Clone(e)
+	if ok {
+		out[l] = c
+	} else {
+		delete(out, l)
 	}
-	return true
+	return out
 }
 
 // Finding is one statement whose right-hand side evaluates to a constant.
@@ -142,103 +85,53 @@ type Result struct {
 	// Constants lists statements whose computed value is a known
 	// constant, in program order.
 	Constants []Finding
-	// PerFunction counts constant statements per function.
-	PerFunction map[string]int
 }
 
 // propagator runs the analysis over one program using a completed points-to
-// result.
+// result and its interprocedural MOD sets.
 type propagator struct {
-	res   *pta.Result
-	tab   *loc.Table
-	found map[*simple.Basic]Value
-
-	// mod and node, when set, sharpen call handling: instead of
-	// invalidating everything reachable, only the call's interprocedural
-	// MOD set (translated to this context) is invalidated.
-	mod  *modref.Result
-	node *invgraph.Node
-}
-
-// Run performs constant propagation over every function, using the
-// points-to annotations to interpret loads and stores through pointers.
-// Each function is analyzed with an optimistic entry environment for
-// globals derived from the global initializers when the function is main,
-// and Top (unknown) otherwise — a sound, simple policy. Calls invalidate
-// everything reachable from their arguments and the globals.
-func Run(res *pta.Result) *Result {
-	p := &propagator{res: res, tab: res.Table, found: make(map[*simple.Basic]Value)}
-	for _, fn := range res.Prog.Functions {
-		entry := make(env)
-		if fn == res.Prog.Main() && res.Prog.GlobalInit != nil {
-			p.processSeq(res.Prog.GlobalInit, entry)
-		}
-		p.processSeq(fn.Body, entry)
-	}
-	return p.assemble()
+	res *pta.Result
+	mod *modref.Result
+	// found holds each visited copy, unary or binary statement's value;
+	// varies marks those that are not the same constant on every visit.
+	found  map[*simple.Basic]int64
+	varies map[*simple.Basic]bool
 }
 
 // RunWithMod performs constant propagation per invocation-graph node, using
 // interprocedural MOD sets at call sites: a call only invalidates the
 // locations its resolved callees may actually write — the generalized,
-// framework-backed variant §6.1 points at.
+// framework-backed variant §6.1 points at. Each node starts with no
+// constants but, in main, those of the global initializers.
 func RunWithMod(res *pta.Result, mod *modref.Result) *Result {
-	p := &propagator{res: res, tab: res.Table, found: make(map[*simple.Basic]Value), mod: mod}
+	p := &propagator{res: res, mod: mod,
+		found: make(map[*simple.Basic]int64), varies: make(map[*simple.Basic]bool)}
+	w := ctxwalk.Walker[env]{Basic: p.basic}
 	res.Graph.Walk(func(n *invgraph.Node) {
-		if n.Kind == invgraph.Approximate {
-			return
+		entry := env{}
+		if n.Fn == res.Prog.Main() {
+			entry = w.Body(n, res.Prog.GlobalInit, entry)
 		}
-		p.node = n
-		entry := make(env)
-		if n.Fn == res.Prog.Main() && res.Prog.GlobalInit != nil {
-			p.processSeq(res.Prog.GlobalInit, entry)
-		}
-		p.processSeq(n.Fn.Body, entry)
+		w.Node(n, entry)
 	})
-	p.node = nil
-	return p.assemble()
-}
-
-func (p *propagator) assemble() *Result {
-	out := &Result{PerFunction: make(map[string]int)}
-	for b, v := range p.found {
-		if v.Kind == Const {
-			out.Constants = append(out.Constants, Finding{Stmt: b, Value: v.C})
+	out := &Result{}
+	for b, c := range p.found {
+		if !p.varies[b] {
+			out.Constants = append(out.Constants, Finding{Stmt: b, Value: c})
 		}
 	}
 	sort.Slice(out.Constants, func(i, j int) bool {
 		return out.Constants[i].Stmt.ID < out.Constants[j].Stmt.ID
 	})
-	for _, f := range out.Constants {
-		fnName := p.enclosingFunc(f.Stmt)
-		out.PerFunction[fnName]++
-	}
 	return out
 }
 
-func (p *propagator) enclosingFunc(b *simple.Basic) string {
-	for _, fn := range p.res.Prog.Functions {
-		found := false
-		simple.WalkStmts(fn.Body, func(s simple.Stmt) {
-			if s == b {
-				found = true
-			}
-		})
-		if found {
-			return fn.Name()
-		}
+// record notes that one visit of b computed c (ok) or no constant (!ok).
+func (p *propagator) record(b *simple.Basic, c int64, ok bool) {
+	if old, seen := p.found[b]; !ok || seen && old != c {
+		p.varies[b] = true
 	}
-	return "<global init>"
-}
-
-// record meets a statement's computed value into the result map (a
-// statement visited along several paths or iterations keeps the meet).
-func (p *propagator) record(b *simple.Basic, v Value) {
-	if old, ok := p.found[b]; ok {
-		p.found[b] = meet(old, v)
-		return
-	}
-	p.found[b] = v
+	p.found[b] = c
 }
 
 // locsOfRef returns the locations a reference denotes under the statement's
@@ -254,308 +147,185 @@ func (p *propagator) locsOfRef(b *simple.Basic, r *simple.Ref) []pta.BaseLoc {
 	return pta.EvalLLocs(p.res, r, in)
 }
 
-// evalOperand evaluates an operand in the current environment.
-func (p *propagator) evalOperand(b *simple.Basic, op simple.Operand, e env) Value {
+// operand evaluates an operand in e: the integer constant it holds, or ok
+// false.
+func (p *propagator) operand(b *simple.Basic, op simple.Operand, e env) (c int64, ok bool) {
 	switch op := op.(type) {
 	case *simple.ConstInt:
-		return konst(op.Val)
-	case *simple.ConstFloat, *simple.ConstString, *simple.ConstNull:
-		return bottom() // only integer constants are tracked
+		return op.Val, true
 	case *simple.Ref:
 		if op.Var.Kind == ast.FuncObj {
-			return bottom()
+			return 0, false
 		}
 		lls := p.locsOfRef(b, op)
 		if len(lls) == 0 {
-			return bottom()
+			return 0, false
 		}
-		v := top()
-		for _, l := range lls {
-			v = meet(v, e.get(l.Loc))
+		c, ok = e[lls[0].Loc]
+		for _, l := range lls[1:] {
+			d, had := e[l.Loc]
+			ok = ok && had && d == c
 		}
-		return v
+		return c, ok
 	}
-	return bottom()
+	return 0, false // only integer constants are tracked
 }
 
-// assign applies an assignment of value v to the reference's locations.
-func (p *propagator) assign(b *simple.Basic, lhs *simple.Ref, v Value, e env) {
-	lls := p.locsOfRef(b, lhs)
+// assign stores c (ok) or no constant (!ok) through b's left-hand side: a
+// strong update when it denotes one definite, single location, otherwise a
+// weak update that keeps a location's constant only when the store writes
+// that same constant.
+func (p *propagator) assign(b *simple.Basic, e env, c int64, ok bool) env {
+	if b.LHS == nil {
+		return e
+	}
+	lls := p.locsOfRef(b, b.LHS)
 	if len(lls) == 1 && lls[0].Def == ptset.D && !lls[0].Loc.Multi() {
-		e.set(lls[0].Loc, v) // strong update through a definite pointer
-		return
+		return e.with(lls[0].Loc, c, ok) // strong update through a definite pointer
 	}
 	for _, l := range lls {
-		e.set(l.Loc, meet(e.get(l.Loc), v)) // weak update
+		old, had := e[l.Loc]
+		e = e.with(l.Loc, old, had && ok && old == c) // weak update
 	}
+	return e
 }
 
-// binop folds a binary operation over lattice values.
-func binop(op token.Kind, x, y Value) Value {
-	if x.Kind == Bottom || y.Kind == Bottom {
-		return bottom()
-	}
-	if x.Kind == Top || y.Kind == Top {
-		return top()
-	}
-	a, c := x.C, y.C
-	b2i := func(b bool) int64 {
+// binop folds a binary operation over two constants.
+func binop(op token.Kind, a, c int64) (int64, bool) {
+	b2i := func(b bool) (int64, bool) {
 		if b {
-			return 1
+			return 1, true
 		}
-		return 0
+		return 0, true
 	}
 	switch op {
 	case token.ADD:
-		return konst(a + c)
+		return a + c, true
 	case token.SUB:
-		return konst(a - c)
+		return a - c, true
 	case token.MUL:
-		return konst(a * c)
+		return a * c, true
 	case token.QUO:
 		if c == 0 {
-			return bottom()
+			return 0, false
 		}
-		return konst(a / c)
+		return a / c, true
 	case token.REM:
 		if c == 0 {
-			return bottom()
+			return 0, false
 		}
-		return konst(a % c)
+		return a % c, true
 	case token.SHL:
-		return konst(a << (uint64(c) & 63))
+		return a << (uint64(c) & 63), true
 	case token.SHR:
-		return konst(a >> (uint64(c) & 63))
+		return a >> (uint64(c) & 63), true
 	case token.AND:
-		return konst(a & c)
+		return a & c, true
 	case token.OR:
-		return konst(a | c)
+		return a | c, true
 	case token.XOR:
-		return konst(a ^ c)
+		return a ^ c, true
 	case token.EQL:
-		return konst(b2i(a == c))
+		return b2i(a == c)
 	case token.NEQ:
-		return konst(b2i(a != c))
+		return b2i(a != c)
 	case token.LSS:
-		return konst(b2i(a < c))
+		return b2i(a < c)
 	case token.GTR:
-		return konst(b2i(a > c))
+		return b2i(a > c)
 	case token.LEQ:
-		return konst(b2i(a <= c))
+		return b2i(a <= c)
 	case token.GEQ:
-		return konst(b2i(a >= c))
+		return b2i(a >= c)
 	}
-	return bottom()
+	return 0, false
 }
 
-func unop(op token.Kind, x Value) Value {
-	if x.Kind != Const {
-		return x
-	}
+func unop(op token.Kind, x int64) (int64, bool) {
 	switch op {
 	case token.SUB:
-		return konst(-x.C)
+		return -x, true
 	case token.TILDE:
-		return konst(^x.C)
+		return ^x, true
 	case token.NOT:
-		if x.C == 0 {
-			return konst(1)
+		if x == 0 {
+			return 1, true
 		}
-		return konst(0)
+		return 0, true
 	}
-	return bottom()
+	return 0, false
 }
 
-// processBasic transforms the environment across one basic statement.
-func (p *propagator) processBasic(b *simple.Basic, e env) {
+// basic is the walk's transfer function: the environment after b in
+// invocation n. Copies, unary and binary statements record their value.
+func (p *propagator) basic(n *invgraph.Node, b *simple.Basic, e env) env {
+	var c int64
+	ok := false
 	switch b.Kind {
 	case simple.AsgnCopy:
-		v := p.evalOperand(b, b.X, e)
-		p.record(b, v)
-		p.assign(b, b.LHS, v, e)
-
+		c, ok = p.operand(b, b.X, e)
 	case simple.AsgnUnary:
-		v := unop(b.Op, p.evalOperand(b, b.X, e))
-		p.record(b, v)
-		p.assign(b, b.LHS, v, e)
-
-	case simple.AsgnBinary:
-		v := binop(b.Op, p.evalOperand(b, b.X, e), p.evalOperand(b, b.Y, e))
-		p.record(b, v)
-		p.assign(b, b.LHS, v, e)
-
-	case simple.AsgnAddr, simple.AsgnMalloc:
-		if b.LHS != nil {
-			p.assign(b, b.LHS, bottom(), e)
+		if x, okx := p.operand(b, b.X, e); okx {
+			c, ok = unop(b.Op, x)
 		}
-
+	case simple.AsgnBinary:
+		x, okx := p.operand(b, b.X, e)
+		y, oky := p.operand(b, b.Y, e)
+		if okx && oky {
+			c, ok = binop(b.Op, x, y)
+		}
+	case simple.AsgnAddr, simple.AsgnMalloc:
+		return p.assign(b, e, 0, false)
 	case simple.AsgnCall, simple.AsgnCallInd:
-		// A call may modify anything it can reach: every global and every
-		// location reachable from pointer arguments goes to bottom. The
-		// points-to annotation tells us what is reachable.
-		p.havocCall(b, e)
+		return p.call(n, b, p.assign(b, e, 0, false))
+	default:
+		return e
 	}
+	p.record(b, c, ok)
+	return p.assign(b, e, c, ok)
 }
 
-// havocCall invalidates the locations a call could write. With MOD
-// information available, exactly the call's interprocedural write set is
-// invalidated; otherwise everything reachable from the arguments and the
-// globals is.
-func (p *propagator) havocCall(b *simple.Basic, e env) {
-	if b.LHS != nil {
-		p.assign(b, b.LHS, bottom(), e)
+// call removes the constants call b may write: its resolved callees' MOD
+// set translated to n, or, at a call with no callee in the graph (an
+// external function or a thread spawn), every location reachable from its
+// pointer arguments.
+func (p *propagator) call(n *invgraph.Node, b *simple.Basic, e env) env {
+	locs, ok := p.mod.ModOfCall(n, b)
+	if !ok {
+		locs = p.reachable(b)
 	}
-	if p.mod != nil && p.node != nil {
-		if locs, ok := p.mod.ModOfCall(p.node, b); ok {
-			for _, l := range locs {
-				e.set(l, bottom())
-			}
-			return
-		}
-		// External call: no stack effects beyond the LHS.
-		return
+	for _, l := range locs {
+		e = e.with(l, 0, false)
 	}
+	return e
+}
+
+// reachable returns the locations reachable from b's pointer arguments
+// through the points-to relation before b.
+func (p *propagator) reachable(b *simple.Basic) []*loc.Location {
 	in, ok := p.res.Annots.At(b)
 	if !ok {
-		in = ptset.New()
+		return nil
 	}
-	// Seed: globals and pointer arguments.
-	work := make([]*loc.Location, 0, 8)
+	var out []*loc.Location
 	seen := make(map[*loc.Location]bool)
-	push := func(l *loc.Location) {
-		if l != nil && !seen[l] {
-			seen[l] = true
-			work = append(work, l)
-		}
-	}
-	for l := range e {
-		if l.IsGlobalish() {
-			push(l)
+	from := func(l *loc.Location) {
+		for _, t := range in.Targets(l) {
+			if !seen[t.Dst] {
+				seen[t.Dst] = true
+				out = append(out, t.Dst)
+			}
 		}
 	}
 	for _, a := range b.Args {
 		if r, ok := a.(*simple.Ref); ok {
 			for _, bl := range pta.EvalBaseLocs(p.res, r) {
-				for _, t := range in.Targets(bl.Loc) {
-					push(t.Dst)
-				}
+				from(bl.Loc)
 			}
 		}
 	}
-	// Transitive closure over the points-to relation.
-	for len(work) > 0 {
-		l := work[len(work)-1]
-		work = work[:len(work)-1]
-		e.set(l, bottom())
-		for _, t := range in.Targets(l) {
-			push(t.Dst)
-		}
+	for i := 0; i < len(out); i++ {
+		from(out[i])
 	}
-}
-
-// processSeq runs the forward analysis over a statement sequence,
-// mutating e.
-func (p *propagator) processSeq(s *simple.Seq, e env) {
-	if s == nil {
-		return
-	}
-	for _, c := range s.List {
-		p.processStmt(c, e)
-	}
-}
-
-func (p *propagator) processStmt(s simple.Stmt, e env) {
-	switch s := s.(type) {
-	case *simple.Basic:
-		p.processBasic(s, e)
-
-	case *simple.Seq:
-		p.processSeq(s, e)
-
-	case *simple.If:
-		thenEnv := e.clone()
-		p.processSeq(s.Then, thenEnv)
-		elseEnv := e.clone()
-		if s.Else != nil {
-			p.processSeq(s.Else, elseEnv)
-		}
-		merged := meetEnv(thenEnv, elseEnv)
-		for k := range e {
-			delete(e, k)
-		}
-		for k, v := range merged {
-			e[k] = v
-		}
-
-	case *simple.While:
-		p.processLoop(e, func(le env) {
-			p.processSeq(s.CondEval, le)
-			p.processSeq(s.Body, le)
-		})
-
-	case *simple.DoWhile:
-		p.processLoop(e, func(le env) {
-			p.processSeq(s.Body, le)
-			p.processSeq(s.CondEval, le)
-		})
-
-	case *simple.For:
-		p.processSeq(s.Init, e)
-		p.processLoop(e, func(le env) {
-			p.processSeq(s.CondEval, le)
-			p.processSeq(s.Body, le)
-			p.processSeq(s.Post, le)
-		})
-
-	case *simple.Switch:
-		out := make(env)
-		first := true
-		for _, c := range s.Cases {
-			armEnv := e.clone()
-			p.processSeq(c.Body, armEnv)
-			if first {
-				out = armEnv
-				first = false
-			} else {
-				out = meetEnv(out, armEnv)
-			}
-		}
-		merged := meetEnv(out, e) // the no-match path
-		for k := range e {
-			delete(e, k)
-		}
-		for k, v := range merged {
-			e[k] = v
-		}
-
-	case *simple.Break, *simple.Continue, *simple.Return:
-		// Conservative: environments at escapes merge at the enclosing
-		// construct through the loop fixed point below.
-	}
-}
-
-// processLoop iterates a loop body to a fixed point, merging the loop-back
-// environment into the head.
-func (p *propagator) processLoop(e env, body func(env)) {
-	cur := e.clone()
-	for iter := 0; iter < 100; iter++ {
-		iterEnv := cur.clone()
-		body(iterEnv)
-		next := meetEnv(cur, iterEnv)
-		if equalEnv(next, cur) {
-			break
-		}
-		cur = next
-	}
-	// Run the body once more on the stable head to record findings under
-	// the final environment, then fold into e.
-	final := cur.clone()
-	body(final)
-	merged := meetEnv(cur, final)
-	for k := range e {
-		delete(e, k)
-	}
-	for k, v := range merged {
-		e[k] = v
-	}
+	return out
 }

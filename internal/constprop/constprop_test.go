@@ -3,7 +3,6 @@ package constprop
 import (
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/cc/parser"
 	"repro/internal/modref"
 	"repro/internal/pta"
@@ -27,6 +26,9 @@ func analyze(t *testing.T, src string) *pta.Result {
 	return res
 }
 
+// run propagates constants over res with its MOD sets.
+func run(res *pta.Result) *Result { return RunWithMod(res, modref.Compute(res)) }
+
 // constOf returns the propagated constant for the first statement whose
 // printed form matches, or (0, false).
 func constOf(r *Result, stmtText string) (int64, bool) {
@@ -48,7 +50,7 @@ int main() {
 	return c;
 }
 `)
-	r := Run(res)
+	r := run(res)
 	if v, ok := constOf(r, "b = a + 4"); !ok || v != 7 {
 		t.Errorf("b = a + 4 should be constant 7, got %v %v", v, ok)
 	}
@@ -70,7 +72,7 @@ int main() {
 	return y;
 }
 `)
-	r := Run(res)
+	r := run(res)
 	if v, ok := constOf(r, "y = x + 1"); !ok || v != 6 {
 		t.Errorf("y should be constant 6 via pointer store, got %v %v", v, ok)
 	}
@@ -87,7 +89,7 @@ int main() {
 	return y;
 }
 `)
-	r := Run(res)
+	r := run(res)
 	if v, ok := constOf(r, "y = *p"); !ok || v != 9 {
 		t.Errorf("y = *p should be constant 9, got %v %v", v, ok)
 	}
@@ -109,7 +111,7 @@ int main() {
 	return r;
 }
 `)
-	r := Run(res)
+	r := run(res)
 	if _, ok := constOf(r, "r = x + 0"); ok {
 		t.Error("x must not be constant after a weak update")
 	}
@@ -127,7 +129,7 @@ int main() {
 	return r;
 }
 `)
-	r := Run(res)
+	r := run(res)
 	if v, ok := constOf(r, "r = a + 1"); !ok || v != 5 {
 		t.Errorf("r should be 5 after agreeing branches, got %v %v", v, ok)
 	}
@@ -142,7 +144,7 @@ int main() {
 	return r;
 }
 `)
-	r2 := Run(res2)
+	r2 := run(res2)
 	if _, ok := constOf(r2, "r = a + 1"); ok {
 		t.Error("disagreeing branches must not yield a constant")
 	}
@@ -158,7 +160,7 @@ int main() {
 	return s;
 }
 `)
-	r := Run(res)
+	r := run(res)
 	for _, f := range r.Constants {
 		if f.Stmt.String() == "s = s + 1" {
 			t.Error("loop-carried s must not be constant")
@@ -178,7 +180,7 @@ int main() {
 	return r;
 }
 `)
-	r := Run(res)
+	r := run(res)
 	if _, ok := constOf(r, "r = g + 1"); ok {
 		t.Error("g must be invalidated across the call")
 	}
@@ -195,7 +197,7 @@ int main() {
 	return r;
 }
 `)
-	r := Run(res)
+	r := run(res)
 	if _, ok := constOf(r, "r = x + 1"); ok {
 		t.Error("x must be invalidated: the call can write through &x")
 	}
@@ -212,7 +214,7 @@ int main() {
 	return r;
 }
 `)
-	r := Run(res)
+	r := run(res)
 	if v, ok := constOf(r, "r = x + 1"); !ok || v != 4 {
 		t.Errorf("x should survive the unrelated call, got %v %v", v, ok)
 	}
@@ -234,14 +236,14 @@ int main() {
 	return table[0];
 }
 `)
-	r := Run(res)
+	r := run(res)
 	if len(r.Constants) == 0 {
 		t.Error("expected at least some constants")
 	}
 }
 
 // The MOD payoff: with interprocedural side-effect sets, a constant
-// survives a call that cannot write it, where conservative havoc loses it.
+// survives a call that cannot write it.
 func TestModSharpensConstProp(t *testing.T) {
 	res := analyze(t, `
 int g, unrelated;
@@ -254,33 +256,7 @@ int main() {
 	return r;
 }
 `)
-	conservative := Run(res)
-	sharp := RunWithMod(res, modref.Compute(res))
-	if _, ok := constOf(conservative, "r = g + 1"); ok {
-		t.Error("conservative propagation should lose g across the call")
-	}
-	if v, ok := constOf(sharp, "r = g + 1"); !ok || v != 4 {
+	if v, ok := constOf(run(res), "r = g + 1"); !ok || v != 4 {
 		t.Errorf("MOD-based propagation should keep g=3 across touch(): got %v %v", v, ok)
-	}
-}
-
-// MOD-based propagation must never find fewer constants than the
-// conservative variant on the suite.
-func TestModMonotoneOnBenchmarks(t *testing.T) {
-	for _, name := range []string{"hash", "mway", "stanford", "compress"} {
-		prog, err := bench.Load(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := pta.Analyze(prog, pta.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c1 := len(Run(res).Constants)
-		c2 := len(RunWithMod(res, modref.Compute(res)).Constants)
-		if c2 < c1 {
-			t.Errorf("%s: MOD-based constprop found fewer constants (%d < %d)", name, c2, c1)
-		}
-		t.Logf("%s: constants %d -> %d with MOD", name, c1, c2)
 	}
 }

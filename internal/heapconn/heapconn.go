@@ -10,7 +10,8 @@
 //
 // The abstraction is a symmetric, reflexive relation ("connection matrix")
 // over the pointer variables of a function that the points-to analysis
-// found to be heap-directed. It is computed flow-sensitively over SIMPLE:
+// found to be heap-directed. It is computed flow-sensitively over SIMPLE,
+// walking each function's body once with ctxwalk's statement rules:
 //
 //	p = malloc()   kill p's connections; p starts a fresh structure
 //	p = q          p joins q's structure
@@ -23,11 +24,13 @@ package heapconn
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
 	"repro/internal/cc/ast"
 	"repro/internal/pta"
+	"repro/internal/pta/ctxwalk"
 	"repro/internal/pta/invgraph"
 	"repro/internal/simple"
 )
@@ -42,7 +45,8 @@ func mkPair(a, b *ast.Object) pairKey {
 	return pairKey{a, b}
 }
 
-// Matrix is a connection relation at one program point.
+// Matrix is a connection relation at one program point. The nil *Matrix is
+// the walk's dead state, at a point no path reaches.
 type Matrix struct {
 	pairs map[pairKey]bool
 }
@@ -109,32 +113,28 @@ func (m *Matrix) link(a, b *ast.Object) {
 	}
 }
 
-// clone copies the relation.
-func (m *Matrix) clone() *Matrix {
-	n := NewMatrix()
-	for k := range m.pairs {
-		n.pairs[k] = true
+// Dead reports whether m is the dead state.
+func (m *Matrix) Dead() bool { return m == nil }
+
+// Join unions two paths' relations.
+func (m *Matrix) Join(o *Matrix) *Matrix {
+	switch {
+	case m == nil:
+		return o
+	case o == nil:
+		return m
 	}
-	return n
+	out := &Matrix{pairs: maps.Clone(m.pairs)}
+	maps.Copy(out.pairs, o.pairs)
+	return out
 }
 
-// union merges o into m (the join at control-flow merges).
-func (m *Matrix) union(o *Matrix) {
-	for k := range o.pairs {
-		m.pairs[k] = true
+// Equal reports whether m and o hold the same pairs.
+func (m *Matrix) Equal(o *Matrix) bool {
+	if m == nil || o == nil {
+		return m == o
 	}
-}
-
-func (m *Matrix) equal(o *Matrix) bool {
-	if len(m.pairs) != len(o.pairs) {
-		return false
-	}
-	for k := range m.pairs {
-		if !o.pairs[k] {
-			return false
-		}
-	}
-	return true
+	return maps.Equal(m.pairs, o.pairs)
 }
 
 // Len returns the number of connected (unordered) pairs.
@@ -246,7 +246,7 @@ func (a *analyzer) heapDirected(v *ast.Object, fn *simple.Function) bool {
 }
 
 func (a *analyzer) analyzeFunc(fn *simple.Function) *FuncResult {
-	fr := &FuncResult{Fn: fn, Exit: NewMatrix()}
+	fr := &FuncResult{Fn: fn}
 	seen := make(map[*ast.Object]bool)
 	consider := func(v *ast.Object) {
 		if v == nil || seen[v] || v.Type == nil || !v.Type.HasPointers() {
@@ -290,8 +290,8 @@ func (a *analyzer) analyzeFunc(fn *simple.Function) *FuncResult {
 			m.connect(entry[i], entry[j])
 		}
 	}
-	a.seq(fn.Body, m)
-	fr.Exit = m
+	w := ctxwalk.Walker[*Matrix]{Basic: a.basic}
+	fr.Exit = w.Body(nil, fn.Body, m)
 	return fr
 }
 
@@ -305,7 +305,10 @@ func refVar(r *simple.Ref) (v *ast.Object, throughHeap bool) {
 	return r.Var, r.Deref
 }
 
-func (a *analyzer) basic(b *simple.Basic, m *Matrix) {
+// basic is the walk's transfer function: the relation after b. It writes a
+// copy of m.
+func (a *analyzer) basic(_ *invgraph.Node, b *simple.Basic, m *Matrix) *Matrix {
+	m = &Matrix{pairs: maps.Clone(m.pairs)}
 	switch b.Kind {
 	case simple.AsgnMalloc:
 		if v, th := refVar(b.LHS); a.member(v) != nil && !th {
@@ -327,13 +330,13 @@ func (a *analyzer) basic(b *simple.Basic, m *Matrix) {
 		}
 		switch {
 		case lv == nil:
-			return
+			return m
 		case rv == nil:
 			// p = NULL / constant: leaves the heap.
 			if !lth {
 				m.kill(lv)
 			}
-			return
+			return m
 		case !lth && !rth:
 			// p = q.
 			m.joinInto(lv, rv)
@@ -359,12 +362,12 @@ func (a *analyzer) basic(b *simple.Basic, m *Matrix) {
 		lv, lth := refVar(b.LHS)
 		lv = a.member(lv)
 		if lv == nil || lth {
-			return
+			return m
 		}
 		if r, ok := b.X.(*simple.Ref); ok {
 			if rv, rth := refVar(r); a.member(rv) != nil && !rth {
 				m.joinInto(lv, rv)
-				return
+				return m
 			}
 		}
 		if r, ok := b.Y.(*simple.Ref); ok {
@@ -401,68 +404,5 @@ func (a *analyzer) basic(b *simple.Basic, m *Matrix) {
 			m.connect(lv, lv)
 		}
 	}
-}
-
-func (a *analyzer) seq(s *simple.Seq, m *Matrix) {
-	if s == nil {
-		return
-	}
-	for _, c := range s.List {
-		a.stmt(c, m)
-	}
-}
-
-func (a *analyzer) stmt(s simple.Stmt, m *Matrix) {
-	switch s := s.(type) {
-	case *simple.Basic:
-		a.basic(s, m)
-	case *simple.Seq:
-		a.seq(s, m)
-	case *simple.If:
-		thenM := m.clone()
-		a.seq(s.Then, thenM)
-		if s.Else != nil {
-			a.seq(s.Else, m)
-		}
-		m.union(thenM)
-	case *simple.While:
-		a.loop(m, func(x *Matrix) {
-			a.seq(s.CondEval, x)
-			a.seq(s.Body, x)
-		})
-	case *simple.DoWhile:
-		a.loop(m, func(x *Matrix) {
-			a.seq(s.Body, x)
-			a.seq(s.CondEval, x)
-		})
-	case *simple.For:
-		a.seq(s.Init, m)
-		a.loop(m, func(x *Matrix) {
-			a.seq(s.CondEval, x)
-			a.seq(s.Body, x)
-			a.seq(s.Post, x)
-		})
-	case *simple.Switch:
-		acc := m.clone()
-		for _, c := range s.Cases {
-			armM := m.clone()
-			a.seq(c.Body, armM)
-			acc.union(armM)
-		}
-		m.union(acc)
-	}
-}
-
-// loop iterates a loop body until the relation stabilizes (it only grows,
-// so this terminates quickly).
-func (a *analyzer) loop(m *Matrix, body func(*Matrix)) {
-	for i := 0; i < 100; i++ {
-		next := m.clone()
-		body(next)
-		next.union(m)
-		if next.equal(m) {
-			return
-		}
-		m.union(next)
-	}
+	return m
 }

@@ -213,3 +213,31 @@ func TestOnHeapBenchmarks(t *testing.T) {
 		t.Logf("%s: %d connected pairs vs %d naive", name, total, naive)
 	}
 }
+
+// A break leaves the loop in the state before it: on that path p equals q,
+// so the two are connected at exit, as they are when an if makes p equal q
+// on one path.
+func TestBreakKeepsConnection(t *testing.T) {
+	for _, body := range []string{
+		"p = q; if (d) break; p = (struct n *) malloc(8);",
+		"p = (struct n *) malloc(8); if (d) p = q;",
+	} {
+		res := analyze(t, `
+struct n { struct n *next; };
+int main() {
+	struct n *p, *q;
+	int c, d;
+	q = (struct n *) malloc(8);
+	p = (struct n *) malloc(8);
+	while (c) {
+		`+body+`
+	}
+	return 0;
+}
+`)
+		fr := Run(res).Funcs["main"]
+		if !fr.Exit.Connected(varOf(fr, "p"), varOf(fr, "q")) {
+			t.Errorf("loop body %q: p and q must be connected at exit", body)
+		}
+	}
+}

@@ -233,7 +233,7 @@ func (ip *Interp) execBasic(b *simple.Basic) error {
 		if err != nil {
 			return err
 		}
-		return ip.assign(b.LHS, v)
+		return ip.result(b, v)
 
 	case simple.AsgnAddr:
 		if b.Addr.Var.Kind == ast.FuncObj {
@@ -255,7 +255,7 @@ func (ip *Interp) execBasic(b *simple.Basic) error {
 			return err
 		}
 		v.Taint = v.Taint || x.Taint
-		return ip.assign(b.LHS, v)
+		return ip.result(b, v)
 
 	case simple.AsgnBinary:
 		x, err := ip.evalOperand(b.X, b.Pos)
@@ -271,7 +271,7 @@ func (ip *Interp) execBasic(b *simple.Basic) error {
 			return err
 		}
 		v.Taint = v.Taint || x.Taint || y.Taint
-		return ip.assign(b.LHS, v)
+		return ip.result(b, v)
 
 	case simple.AsgnMalloc:
 		id := ip.heapN
@@ -316,6 +316,15 @@ func (ip *Interp) execBasic(b *simple.Basic) error {
 		return nil
 	}
 	return ip.errf(b.Pos, "interp: unknown basic statement kind %d", b.Kind)
+}
+
+// result hands the value a copy, unary or binary statement computed to
+// OnValue, then assigns it to the statement's left-hand side.
+func (ip *Interp) result(b *simple.Basic, v Value) error {
+	if ip.OnValue != nil {
+		ip.OnValue(b, v)
+	}
+	return ip.assign(b.LHS, v)
 }
 
 // execWholeArrayCopy expands nil-operand tail selectors: the statement

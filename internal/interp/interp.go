@@ -156,6 +156,11 @@ type Interp struct {
 	// the current frame depth (1 = main). Returning an error aborts.
 	Trace func(b *simple.Basic, depth int) error
 
+	// OnValue, when non-nil, receives the value each copy, unary or binary
+	// statement computes, before it is assigned (and coerced to the
+	// destination's type).
+	OnValue func(b *simple.Basic, v Value)
+
 	// OnCall/OnReturn, when non-nil, bracket every call to a defined
 	// function (externals excluded). OnCall receives the call statement
 	// and the callee; the oracle uses the pair to walk the invocation

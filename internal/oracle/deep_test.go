@@ -11,18 +11,7 @@ import (
 
 func deepCheck(t *testing.T, src string) error {
 	t.Helper()
-	tu, err := parser.Parse("deep.c", src)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	prog, err := simplify.Simplify(tu)
-	if err != nil {
-		t.Fatalf("Simplify: %v", err)
-	}
-	res, err := pta.Analyze(prog, pta.Options{})
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
+	prog, res := analyzeSource(t, "deep.c", src)
 	return RunAndCheckDeep(res, prog, 500_000)
 }
 

@@ -18,13 +18,7 @@ func TestGeneratedProgramsSound(t *testing.T) {
 		seeds = 8
 	}
 	for seed := 0; seed < seeds; seed++ {
-		cfg := bench.DefaultGenConfig(int64(seed))
-		// Vary the shape with the seed.
-		cfg.Funcs = 2 + seed%3
-		cfg.StmtsPer = 8 + seed%10
-		cfg.UseFnPtrs = seed%2 == 0
-		src := bench.Generate(cfg)
-
+		src := generated(seed)
 		tu, err := parser.Parse("gen.c", src)
 		if err != nil {
 			t.Fatalf("seed %d: parse: %v\n%s", seed, err, src)
@@ -41,6 +35,16 @@ func TestGeneratedProgramsSound(t *testing.T) {
 			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
 	}
+}
+
+// generated is the program that TestGeneratedProgramsSound and
+// TestConstantsHold check for seed: the generator's shape varies with it.
+func generated(seed int) string {
+	cfg := bench.DefaultGenConfig(int64(seed))
+	cfg.Funcs = 2 + seed%3
+	cfg.StmtsPer = 8 + seed%10
+	cfg.UseFnPtrs = seed%2 == 0
+	return bench.Generate(cfg)
 }
 
 // FuzzMemoParallelEquivalence is the differential fuzz target for the

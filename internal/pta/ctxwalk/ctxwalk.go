@@ -1,10 +1,12 @@
-// Package ctxwalk is the structured walk that the per-context clients (race
-// and taint) run over an invocation's body. It replays the paper's
+// Package ctxwalk is the structured walk that every forward client runs
+// over a function body: race and taint per invocation context, constant
+// propagation per invocation and over main's global initializers, and the
+// heap connection analysis once per function. It replays the paper's
 // compositional statement rules (Figure 1's process_stmt, extended with
 // break, continue and return) over a client's own state lattice, and it
 // leaves each basic statement, calls included, to the client's transfer
-// function. It also holds the D/P cell map both client states carry and the
-// order in which clients report calling contexts.
+// function. It also holds the D/P cell map the race and taint states carry
+// and the order in which clients report calling contexts.
 //
 // The engine's own statement walk (package pta) differs on purpose: it takes
 // a loop's exit from the head fixed point, runs if-branches in parallel and
@@ -25,11 +27,18 @@ import (
 
 // State is a walk's abstract state. The zero S is the dead state: the state
 // after a break, continue or return, which no statement reaches.
+//
+// A loop runs until its head state stops changing, with no pass limit. That
+// ends because each client's head state climbs a finite lattice, where the
+// head is the join of itself and the back edge: constant propagation's
+// environment only loses constants, the connection relation only gains
+// pairs over the function's heap pointers, a Defs cell only climbs the
+// chain absent, D, P, and race's live-thread count saturates at 2.
 type State[S any] interface {
 	// Dead reports whether the state is the dead state.
 	Dead() bool
 	// Join joins two control-flow paths. Joining with a dead state returns
-	// a copy of the other state.
+	// the other state or a copy of it.
 	Join(S) S
 	// Equal reports whether two states are the same. The walker compares
 	// two live states or two dead ones only.
@@ -38,8 +47,9 @@ type State[S any] interface {
 
 // Walker walks invocation bodies with a client's transfer function.
 type Walker[S State[S]] struct {
-	// Basic returns the state after b in invocation n, given the live state
-	// before it. It must not modify st in place.
+	// Basic returns the state after b in invocation n (nil for a walk by
+	// function), given the live state before it. It must not modify st in
+	// place.
 	Basic func(n *invgraph.Node, b *simple.Basic, st S) S
 }
 
@@ -65,15 +75,22 @@ func join[S State[S]](states []S) S {
 	return out
 }
 
-// Node walks invocation n's body from st and returns its exit state: the
-// join of the fall-through and every return. An approximate node has no
-// body walk of its own, so it passes st through unchanged (a recursion that
-// changes the state is beyond the clients' model).
+// Node walks invocation n's body from st and returns its exit state. An
+// approximate node has no body walk of its own, so it passes st through
+// unchanged (a recursion that changes the state is beyond the clients'
+// model).
 func (w *Walker[S]) Node(n *invgraph.Node, st S) S {
 	if n.Kind == invgraph.Approximate {
 		return st
 	}
-	f := w.stmt(n, n.Fn.Body, st)
+	return w.Body(n, n.Fn.Body, st)
+}
+
+// Body walks seq from st, as code of invocation n, and returns its exit
+// state: the join of the fall-through and every return. A client that
+// walks functions rather than invocations passes a nil n.
+func (w *Walker[S]) Body(n *invgraph.Node, seq *simple.Seq, st S) S {
+	f := w.stmt(n, seq, st)
 	return join(append(f.rets, f.out))
 }
 
@@ -136,7 +153,7 @@ func (w *Walker[S]) stmt(n *invgraph.Node, s simple.Stmt, st S) flow[S] {
 	return flow[S]{out: st}
 }
 
-// loop runs a loop body to a fixed point of at most 64 passes. doFirst is
+// loop runs a loop body until its head state is a fixed point. doFirst is
 // the do-while shape: the body runs before the first test, so there is no
 // zero-iteration exit. Returns escape the loop; breaks and the state after
 // each pass's test join into its exit; continues join the back edge.
@@ -165,8 +182,7 @@ func (w *Walker[S]) loop(n *invgraph.Node, init, condEval, body, post *simple.Se
 		cur = evalCond(in)
 		exits = append(exits, cur) // zero-iteration exit
 	}
-	const maxIter = 64
-	for iter := 0; ; iter++ {
+	for {
 		f := w.stmt(n, body, cur)
 		result.rets = append(result.rets, f.rets...)
 		exits = append(exits, f.brks...)
@@ -181,7 +197,7 @@ func (w *Walker[S]) loop(n *invgraph.Node, init, condEval, body, post *simple.Se
 		// next is dead exactly when cur is, so Equal sees two live states
 		// or two dead ones.
 		next := cur.Join(backIn)
-		if next.Equal(cur) || iter >= maxIter {
+		if next.Equal(cur) {
 			break
 		}
 		cur = next

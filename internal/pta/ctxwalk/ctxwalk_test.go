@@ -113,6 +113,29 @@ func TestStatementRules(t *testing.T) {
 	}
 }
 
+// height is a toy state whose loops need many passes: each call climbs one
+// step, up to 100, and a join takes the higher path. 0 is the dead state.
+type height int
+
+func (h height) Dead() bool           { return h == 0 }
+func (h height) Join(o height) height { return max(h, o) }
+func (h height) Equal(o height) bool  { return h == o }
+
+// A loop runs until its head settles, however many passes that takes. Body
+// walks a function's code without an invocation node.
+func TestLoopReachesFixedPoint(t *testing.T) {
+	prog, _, _ := toyWalker(t, externs+"void f(int c) { while (c) a(); }")
+	w := Walker[height]{Basic: func(n *invgraph.Node, b *simple.Basic, h height) height {
+		if n != nil || b.Kind != simple.AsgnCall {
+			return h
+		}
+		return min(h+1, 100)
+	}}
+	if got := w.Body(nil, prog.Lookup("f").Body, 1); got != 100 {
+		t.Errorf("loop exit height %d, want 100", got)
+	}
+}
+
 func TestApproximateNodePassesThrough(t *testing.T) {
 	prog, w, tab := toyWalker(t, externs+"void f(void) { a(); }")
 	f := prog.Lookup("f")

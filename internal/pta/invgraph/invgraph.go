@@ -236,43 +236,11 @@ func (g *Graph) ThreadNodes() []*Node {
 // in textual order.
 func CallSites(fn *simple.Function) []*simple.Basic {
 	var out []*simple.Basic
-	var walk func(s simple.Stmt)
-	walk = func(s simple.Stmt) {
-		switch s := s.(type) {
-		case *simple.Basic:
-			if s.Kind == simple.AsgnCall || s.Kind == simple.AsgnCallInd {
-				out = append(out, s)
-			}
-		case *simple.Seq:
-			if s == nil {
-				return
-			}
-			for _, c := range s.List {
-				walk(c)
-			}
-		case *simple.If:
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *simple.While:
-			walk(s.CondEval)
-			walk(s.Body)
-		case *simple.DoWhile:
-			walk(s.Body)
-			walk(s.CondEval)
-		case *simple.For:
-			walk(s.Init)
-			walk(s.CondEval)
-			walk(s.Body)
-			walk(s.Post)
-		case *simple.Switch:
-			for _, c := range s.Cases {
-				walk(c.Body)
-			}
+	simple.WalkStmts(fn.Body, func(s simple.Stmt) {
+		if b, ok := s.(*simple.Basic); ok && (b.Kind == simple.AsgnCall || b.Kind == simple.AsgnCallInd) {
+			out = append(out, b)
 		}
-	}
-	walk(fn.Body)
+	})
 	return out
 }
 

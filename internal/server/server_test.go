@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obsv"
 )
@@ -273,6 +274,31 @@ func TestBadRequests(t *testing.T) {
 	}
 	if !strings.Contains(resp.Error, "psychic") {
 		t.Errorf("bad strategy error = %q", resp.Error)
+	}
+}
+
+// A 39-byte source whose macro body names the macro must end in a parse
+// error and leave no worker slot held.
+func TestSelfNamingMacroFreesSlot(t *testing.T) {
+	s, _, _ := newTestServer(t)
+	h := s.Handler()
+	done := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		body := `{"source": "#define A x A\nint main() { return A; }\n"}`
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/check", strings.NewReader(body)))
+		done <- rec.Code
+	}()
+	select {
+	case code := <-done:
+		if code != http.StatusUnprocessableEntity {
+			t.Errorf("self-naming macro = %d, want 422", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("request did not finish within 10s")
+	}
+	if n := len(s.pool.sem); n != 0 {
+		t.Errorf("%d worker slots still held after the request", n)
 	}
 }
 

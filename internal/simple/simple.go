@@ -571,8 +571,7 @@ func (b *Basic) Refs() []*Ref {
 // CountStmts walks the whole program and fills in the statement counters.
 func (p *Program) CountStmts() {
 	p.NumBasicStmts, p.NumStmts = 0, 0
-	var walk func(s Stmt)
-	walk = func(s Stmt) {
+	count := func(s Stmt) {
 		switch s := s.(type) {
 		case *Basic:
 			if s.Kind != StmtNop {
@@ -580,45 +579,12 @@ func (p *Program) CountStmts() {
 				p.NumStmts++
 			}
 		case *Seq:
-			if s == nil {
-				return
-			}
-			for _, c := range s.List {
-				walk(c)
-			}
-		case *If:
-			p.NumStmts++
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *While:
-			p.NumStmts++
-			walk(s.CondEval)
-			walk(s.Body)
-		case *DoWhile:
-			p.NumStmts++
-			walk(s.Body)
-			walk(s.CondEval)
-		case *For:
-			p.NumStmts++
-			walk(s.Init)
-			walk(s.CondEval)
-			walk(s.Post)
-			walk(s.Body)
-		case *Switch:
-			p.NumStmts++
-			for _, c := range s.Cases {
-				walk(c.Body)
-			}
-		case *Break, *Continue, *Return:
+		default:
 			p.NumStmts++
 		}
 	}
 	for _, f := range p.Functions {
-		walk(f.Body)
+		WalkStmts(f.Body, count)
 	}
-	if p.GlobalInit != nil {
-		walk(p.GlobalInit)
-	}
+	WalkStmts(p.GlobalInit, count)
 }
